@@ -1,0 +1,41 @@
+"""Report files frozen byte for byte.
+
+Each case runs ``lospa-eval compute`` on committed truth/estimate files and
+compares the report with one frozen before the array-based core replaced the
+per-target objects.  Positions are distinct and displacements irregular, so
+no two pairings tie and the optimal permutation is unique.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from lospa.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    # 2-D CSV, one swapped pair at k=3, labelled penalty on, LSAP solver.
+    (
+        "truth_2d.csv", "est_2d.csv",
+        ["--p", "2", "--alpha", "0.5", "--metric", "euclidean", "--backend", "optimal"],
+        "report_2d_euclidean_optimal.json",
+    ),
+    # 3-D JSON, swaps at k=5 and k=6, q-norm base metric, enumeration solver.
+    (
+        "truth_3d.json", "est_3d.json",
+        ["--p", "1", "--alpha", "0.5", "--metric", "pnorm:1", "--backend", "brute"],
+        "report_3d_pnorm1_brute.json",
+    ),
+]
+
+
+@pytest.mark.parametrize("truth, est, args, expected", CASES, ids=[c[3] for c in CASES])
+def test_report_bytes(truth, est, args, expected, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(
+        ["compute", "--truth", str(GOLDEN / truth), "--est", str(GOLDEN / est), *args,
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / expected).read_bytes()
