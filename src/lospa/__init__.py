@@ -21,8 +21,7 @@ from .core import (
     LospaParams,
     MultiTargetState,
     Permutation,
-    TargetState,
-    base_distance,
+    add_label_penalty,
     build_cost_matrix,
     parse_base_metric,
 )
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .evaluate import DemoReport, EvalReport, StepResult, evaluate, run_demo
 from .labelled import LabelledSet, LabelledTarget, from_vector, lospa_sets, to_vector
-from .metric import LospaResult, MetricKind, lospa, ospa_no_cutoff
+from .metric import LospaResult, MetricKind, lospa, lospa_and_ospa, ospa_no_cutoff
 from .trajectory import Trajectory, load_trajectory
 
 __version__ = "0.1.0"
@@ -48,15 +47,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core types
-    "TargetState",
     "MultiTargetState",
     "BaseMetric",
     "parse_base_metric",
     "LospaParams",
     "Permutation",
     "CostMatrix",
-    "base_distance",
     "build_cost_matrix",
+    "add_label_penalty",
     # assignment
     "SolverBackend",
     "AssignmentSolution",
@@ -69,6 +67,7 @@ __all__ = [
     "MetricKind",
     "LospaResult",
     "lospa",
+    "lospa_and_ospa",
     "ospa_no_cutoff",
     # labelled sets
     "LabelledTarget",

@@ -24,7 +24,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .constants import BRUTE_CAP_ENV_VAR, DEFAULT_BRUTE_CAP
 from .core import CostMatrix, Permutation
-from .errors import CapExceeded, InvalidCost, LospaError
+from .errors import CapExceeded, LospaError
 
 __all__ = [
     "AssignmentSolution",
@@ -72,22 +72,13 @@ def brute_force_cap() -> int:
     return cap
 
 
-def _entries(C: CostMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(C, CostMatrix):
-        return C.entries
-    arr = np.asarray(C, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise InvalidCost(f"cost matrix must be square and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidCost("cost matrix contains NaN or infinity")
-    if np.any(arr < 0.0):
-        raise InvalidCost("cost matrix contains negative entries")
-    return arr
+def _cost_matrix(C: CostMatrix | np.ndarray) -> CostMatrix:
+    return C if isinstance(C, CostMatrix) else CostMatrix(C)
 
 
 def path_cost(C: CostMatrix | np.ndarray, perm: Permutation) -> float:
     """Total cost of a pairing, accumulated left-to-right in double precision."""
-    entries = _entries(C)
+    entries = _cost_matrix(C).entries
     total = 0.0
     for j, k in enumerate(perm):
         total += float(entries[j, k])
@@ -123,7 +114,7 @@ def solve_brute_force(C: CostMatrix | np.ndarray, cap: int | None = None) -> Ass
     Raises:
         CapExceeded: if the matrix is larger than the cap allows.
     """
-    entries = _entries(C)
+    entries = _cost_matrix(C).entries
     t = entries.shape[0]
     if cap is None:
         cap = brute_force_cap()
@@ -163,10 +154,10 @@ def solve_optimal(C: CostMatrix | np.ndarray) -> AssignmentSolution:
         InvalidCost: if the matrix is not square or has non-finite or
             negative entries.
     """
-    entries = _entries(C)
-    _, cols = linear_sum_assignment(entries)
+    C = _cost_matrix(C)
+    _, cols = linear_sum_assignment(C.entries)
     perm = Permutation(tuple(int(c) for c in cols))
-    return AssignmentSolution(perm=perm, total_cost=path_cost(entries, perm))
+    return AssignmentSolution(perm=perm, total_cost=path_cost(C, perm))
 
 
 def solve(C: CostMatrix | np.ndarray, backend: SolverBackend) -> AssignmentSolution:

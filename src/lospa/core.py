@@ -1,10 +1,10 @@
 """Domain types for multitarget states and the per-pair cost construction.
 
-A multitarget state with a fixed, known number of targets is an ordered
-sequence of per-target state vectors; the position of a target in the
-sequence is its implicit label.  The labelled distance between two such
-states combines a base metric on the per-target state space with a constant
-penalty for every pair matched across different positions.
+A multitarget state with a fixed, known number of targets is a (t, n_x)
+array: row j is the state vector of target j, and the row index is the
+target's implicit label.  The labelled distance between two such states
+combines a base metric on the per-target state space with a constant penalty
+for every pair matched across different rows.
 
 All types are immutable after construction and validate their invariants
 eagerly (non-finite values are rejected up front, never propagated), so
@@ -18,19 +18,19 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, InvalidCost, NonFiniteValue
 
 __all__ = [
-    "TargetState",
     "MultiTargetState",
     "BaseMetric",
     "parse_base_metric",
     "LospaParams",
     "Permutation",
     "CostMatrix",
-    "base_distance",
     "build_cost_matrix",
+    "add_label_penalty",
 ]
 
 
@@ -41,111 +41,58 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class TargetState:
-    """State vector of a single target (e.g. a position in metres).
+class MultiTargetState:
+    """A (t, n_x) array of per-target states, one row per target.
+
+    The row index of each target is its implicit label: row j of one state
+    is compared against row j of another when deciding whether a pairing is
+    "correctly labelled".
 
     Args:
-        coords: 1-D real vector of dimension >= 1; entries must be finite.
+        points: t >= 1 rows of n_x >= 1 finite reals; copied and made
+            read-only.
     """
 
-    coords: np.ndarray
+    points: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError(f"target state must be a 1-D vector, got shape {arr.shape}")
+        try:
+            arr = _as_readonly(self.points)
+        except ValueError as exc:
+            raise DimensionMismatch(f"targets must be equal-length real vectors: {exc}") from None
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError(
+                f"a multitarget state must be a (t, n_x) array with t, n_x >= 1, "
+                f"got shape {arr.shape}"
+            )
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue("target state contains NaN or infinity")
-        object.__setattr__(self, "coords", _as_readonly(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TargetState):
-            return NotImplemented
-        return np.array_equal(self.coords, other.coords)
-
-    def __hash__(self) -> int:
-        return hash(self.coords.tobytes())
-
-    def __repr__(self) -> str:
-        return f"TargetState({self.coords.tolist()})"
-
-
-@dataclass(frozen=True, eq=False)
-class MultiTargetState:
-    """Ordered sequence of per-target states sharing one state dimension.
-
-    The sequence position of each target is its implicit label: position j
-    of one state is compared against position j of another when deciding
-    whether a pairing is "correctly labelled".
-    """
-
-    targets: tuple[TargetState, ...]
-
-    def __post_init__(self):
-        targets = tuple(self.targets)
-        if len(targets) < 1:
-            raise ValueError("a multitarget state needs at least one target")
-        dim = targets[0].dim
-        for j, tgt in enumerate(targets):
-            if tgt.dim != dim:
-                raise DimensionMismatch(
-                    f"target 0 has dimension {dim} but target {j} has dimension {tgt.dim}"
-                )
-        object.__setattr__(self, "targets", targets)
+            raise NonFiniteValue("multitarget state contains NaN or infinity")
+        object.__setattr__(self, "points", arr)
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence[float] | float]) -> "MultiTargetState":
         """Build from an iterable of coordinate vectors (bare scalars mean 1-D)."""
-        states = []
-        for pt in points:
-            if np.isscalar(pt):
-                pt = [pt]
-            states.append(TargetState(np.asarray(pt, dtype=float)))
-        return cls(tuple(states))
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "MultiTargetState":
-        """Build from a (t, n_x) array, one row per target."""
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a (t, n_x) array, got shape {arr.shape}")
-        return cls(tuple(TargetState(row) for row in arr))
-
-    def as_array(self) -> np.ndarray:
-        """Return the (t, n_x) array of stacked per-target states."""
-        return np.stack([tgt.coords for tgt in self.targets])
+        return cls([np.atleast_1d(pt) for pt in points])
 
     @property
     def num_targets(self) -> int:
-        return len(self.targets)
+        return self.points.shape[0]
 
     @property
     def state_dim(self) -> int:
-        return self.targets[0].dim
-
-    def __len__(self) -> int:
-        return len(self.targets)
-
-    def __iter__(self):
-        return iter(self.targets)
-
-    def __getitem__(self, j: int) -> TargetState:
-        return self.targets[j]
+        return self.points.shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiTargetState):
             return NotImplemented
-        return self.targets == other.targets
+        return np.array_equal(self.points, other.points)
 
     def __hash__(self) -> int:
-        return hash(self.targets)
+        # Adding 0.0 maps -0.0 to 0.0, so states that compare equal hash equal.
+        return hash((self.points.shape, (self.points + 0.0).tobytes()))
 
     def __repr__(self) -> str:
-        return f"MultiTargetState({[tgt.coords.tolist() for tgt in self.targets]})"
+        return f"MultiTargetState({self.points.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -179,12 +126,9 @@ class BaseMetric:
             return "euclidean"
         return f"pnorm:{self.q:g}"
 
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.norm(x - y, ord=self.q))
-
     def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """All-pairs distances between rows of two (t, n_x) arrays."""
-        return np.linalg.norm(xs[:, None, :] - ys[None, :, :], ord=self.q, axis=2)
+        return cdist(xs, ys, "minkowski", p=self.q)
 
 
 def parse_base_metric(text: str) -> BaseMetric:
@@ -267,44 +211,41 @@ class CostMatrix:
 
     ``entries[j, k]`` is the cost of pairing target j of the first state with
     target k of the second: base distance to the p-th power, plus alpha**p
-    when j != k (wrong label).
+    when j != k (wrong label).  This constructor is the one place where cost
+    entries are validated.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = _as_readonly(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidCost(f"cost matrix must be square and non-empty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidCost("cost matrix contains NaN or infinity")
         if np.any(arr < 0.0):
             raise InvalidCost("cost matrix contains negative entries")
-        object.__setattr__(self, "entries", _as_readonly(arr))
+        object.__setattr__(self, "entries", arr)
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
 
 
-def _require_same_dim(x: TargetState, y: TargetState) -> None:
-    if x.dim != y.dim:
-        raise DimensionMismatch(
-            f"state dimensions differ: first is {x.dim}, second is {y.dim}"
-        )
-
-
-def base_distance(x: TargetState, y: TargetState, params: LospaParams) -> float:
-    """Distance between two single-target states under the selected base metric.
-
-    Satisfies the metric axioms (identity, symmetry, triangle inequality) for
-    any q-norm with q >= 1.
-
-    Raises:
-        DimensionMismatch: if the two states have different dimensions.
-    """
-    _require_same_dim(x, y)
-    return params.base_metric.distance(x.coords, y.coords)
+def _costs(localization: np.ndarray, params: LospaParams) -> CostMatrix:
+    """Cost matrix of ``localization + alpha**p`` off the diagonal."""
+    try:
+        with np.errstate(over="ignore"):
+            if params.alpha > 0.0:
+                t = localization.shape[0]
+                localization = localization + params.alpha**params.p * (1.0 - np.eye(t))
+        return CostMatrix(localization)
+    except (OverflowError, InvalidCost):
+        # Every input is finite and nonnegative, so only overflow gets here.
+        raise InvalidCost(
+            f"cost b(a, b)**p + alpha**p overflows the float64 range "
+            f"(p={params.p:g}, alpha={params.alpha:g})"
+        ) from None
 
 
 def build_cost_matrix(
@@ -319,6 +260,7 @@ def build_cost_matrix(
     Raises:
         DimensionMismatch: if the two states differ in target count or
             state dimension.
+        InvalidCost: if a cost overflows the float64 range.
     """
     if A.num_targets != B.num_targets:
         raise DimensionMismatch(
@@ -328,9 +270,15 @@ def build_cost_matrix(
         raise DimensionMismatch(
             f"state dimensions differ: first is {A.state_dim}, second is {B.state_dim}"
         )
-    dist = params.base_metric.pairwise(A.as_array(), B.as_array())
-    costs = dist**params.p
-    if params.alpha > 0.0:
-        t = A.num_targets
-        costs = costs + params.alpha**params.p * (1.0 - np.eye(t))
-    return CostMatrix(costs)
+    with np.errstate(over="ignore"):
+        localization = params.base_metric.pairwise(A.points, B.points) ** params.p
+    return _costs(localization, params)
+
+
+def add_label_penalty(C: CostMatrix, params: LospaParams) -> CostMatrix:
+    """Add ``alpha**p`` to every off-diagonal entry of a localization matrix.
+
+    Applied to ``build_cost_matrix(A, B, params.with_alpha(0))`` this gives
+    ``build_cost_matrix(A, B, params)`` exactly.  Raises InvalidCost on overflow.
+    """
+    return _costs(C.entries, params)

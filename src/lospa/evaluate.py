@@ -19,7 +19,7 @@ from .assignment import SolverBackend
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import LospaParams, MultiTargetState, Permutation
 from .errors import DimensionMismatch, TimestepMismatch
-from .metric import lospa
+from .metric import lospa, lospa_and_ospa
 from .trajectory import Trajectory
 
 __all__ = ["StepResult", "EvalReport", "evaluate", "DemoCell", "DemoReport", "run_demo"]
@@ -129,7 +129,8 @@ def evaluate(
         truth: ground-truth trajectory.
         estimate: estimated trajectory over exactly the same time indices.
         params: distance parameters; the per-step ``ospa`` column is the same
-            computation with alpha forced to 0.
+            computation with alpha forced to 0, solved on the same
+            localization matrix.
         backend: assignment solver for every step.
 
     Raises:
@@ -137,8 +138,8 @@ def evaluate(
             the message lists the offending indices on both sides.
         DimensionMismatch: target count or state dimension differs.
     """
-    truth_ks = set(truth.time_indices)
-    est_ks = set(estimate.time_indices)
+    truth_ks = set(truth.time_indices.tolist())
+    est_ks = set(estimate.time_indices.tolist())
     if truth_ks != est_ks:
         missing_in_est = sorted(truth_ks - est_ks)
         missing_in_truth = sorted(est_ks - truth_ks)
@@ -157,11 +158,13 @@ def evaluate(
             f"estimate is {estimate.state_dim}-dimensional"
         )
 
-    ospa_params = params.with_alpha(0.0)
     steps = []
-    for (k, truth_state), (_, est_state) in zip(truth.steps, estimate.steps):
-        labelled = lospa(est_state, truth_state, params, backend=backend)
-        unlabelled = lospa(est_state, truth_state, ospa_params, backend=backend)
+    for k, truth_points, est_points in zip(
+        truth.time_indices.tolist(), truth.states, estimate.states
+    ):
+        labelled, unlabelled = lospa_and_ospa(
+            MultiTargetState(est_points), MultiTargetState(truth_points), params, backend
+        )
         steps.append(
             StepResult(
                 k=k,
@@ -282,8 +285,9 @@ def run_demo(backend: SolverBackend = SolverBackend.OPTIMAL) -> DemoReport:
         lospa(est, truth, zero, backend=backend).distance for est in estimates
     )
 
-    truth_traj = Trajectory(tuple((k, truth) for k in range(len(estimates))))
-    est_traj = Trajectory(tuple(enumerate(estimates)))
+    ks = range(len(estimates))
+    truth_traj = Trajectory(ks, [truth.points for _ in ks])
+    est_traj = Trajectory(ks, [est.points for est in estimates])
     reports = tuple(
         evaluate(truth_traj, est_traj, LospaParams(p=2.0, alpha=alpha), backend=backend)
         for alpha in _DEMO_ALPHAS

@@ -13,74 +13,77 @@ irrelevant; instances are immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import DimensionMismatch, LospaParams, MultiTargetState, TargetState
-from .errors import DuplicateLabel, LabelMismatch
+import numpy as np
+
+from .core import LospaParams, MultiTargetState
+from .errors import DimensionMismatch, DuplicateLabel, LabelMismatch
 from .metric import lospa
 
 __all__ = ["LabelledTarget", "LabelledSet", "from_vector", "to_vector", "lospa_sets"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelledTarget:
-    """A single target state with its immutable label."""
+    """A single target's state vector with its immutable label."""
 
-    state: TargetState
+    state: np.ndarray
     label: int
 
     def __post_init__(self):
         object.__setattr__(self, "label", int(self.label))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LabelledSet:
-    """Unordered collection of labelled targets with pairwise-distinct labels."""
+    """Unordered collection of labelled targets with pairwise-distinct labels.
 
-    elements: tuple[LabelledTarget, ...]
+    Stored as one :class:`MultiTargetState` plus one label per row, in the
+    order the elements were given; that order carries no meaning.
+    """
 
-    def __post_init__(self):
-        elements = tuple(self.elements)
+    state: MultiTargetState
+    label_order: tuple[int, ...]
+
+    def __init__(self, elements: Iterable[LabelledTarget]):
+        elements = tuple(elements)
         if len(elements) < 1:
             raise ValueError("a labelled set needs at least one element")
-        labels = [el.label for el in elements]
+        labels = tuple(el.label for el in elements)
         if len(set(labels)) != len(labels):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise DuplicateLabel(f"labels must be unique, repeated: {dupes}")
-        dim = elements[0].state.dim
-        for el in elements:
-            if el.state.dim != dim:
-                raise DimensionMismatch(
-                    f"all states must share one dimension; found {dim} and {el.state.dim}"
-                )
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "state", MultiTargetState([el.state for el in elements]))
+        object.__setattr__(self, "label_order", labels)
 
     @property
     def labels(self) -> frozenset[int]:
-        return frozenset(el.label for el in self.elements)
+        return frozenset(self.label_order)
 
     @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def state_dim(self) -> int:
-        return self.elements[0].state.dim
+    def elements(self) -> tuple[LabelledTarget, ...]:
+        return tuple(
+            LabelledTarget(row, label) for row, label in zip(self.state.points, self.label_order)
+        )
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.label_order)
 
     def __iter__(self):
         return iter(self.elements)
 
+    def _canonical(self) -> MultiTargetState:
+        return to_vector(self, sorted(self.label_order))
+
     def __eq__(self, other) -> bool:
-        # Unordered semantics: compare as sets of (label, state) pairs.
+        # Unordered semantics: compare both sets arranged by sorted label.
         if not isinstance(other, LabelledSet):
             return NotImplemented
-        return set(self.elements) == set(other.elements)
+        return self.labels == other.labels and self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.elements))
+        return hash((self.labels, self._canonical()))
 
 
 def from_vector(X: MultiTargetState, labels: Sequence[int]) -> LabelledSet:
@@ -97,9 +100,7 @@ def from_vector(X: MultiTargetState, labels: Sequence[int]) -> LabelledSet:
         raise DimensionMismatch(
             f"{X.num_targets} targets but {len(labels)} labels"
         )
-    return LabelledSet(
-        tuple(LabelledTarget(state=s, label=l) for s, l in zip(X.targets, labels))
-    )
+    return LabelledSet(LabelledTarget(row, l) for row, l in zip(X.points, labels))
 
 
 def to_vector(S: LabelledSet, label_order: Sequence[int]) -> MultiTargetState:
@@ -112,14 +113,14 @@ def to_vector(S: LabelledSet, label_order: Sequence[int]) -> MultiTargetState:
         LabelMismatch: if ``label_order`` misses a label or names an unknown one.
     """
     order = [int(l) for l in label_order]
-    by_label = {el.label: el.state for el in S.elements}
-    unknown = [l for l in order if l not in by_label]
+    row_of = {label: j for j, label in enumerate(S.label_order)}
+    unknown = [l for l in order if l not in row_of]
     if unknown:
         raise LabelMismatch(f"labels not in the set: {unknown}")
-    if len(order) != len(by_label) or len(set(order)) != len(order):
-        missing = sorted(set(by_label) - set(order))
+    if len(order) != len(row_of) or len(set(order)) != len(order):
+        missing = sorted(set(row_of) - set(order))
         raise LabelMismatch(f"label order must cover every label exactly once; missing: {missing}")
-    return MultiTargetState(tuple(by_label[l] for l in order))
+    return MultiTargetState(S.state.points[[row_of[l] for l in order]])
 
 
 def lospa_sets(A: LabelledSet, B: LabelledSet, params: LospaParams) -> float:

@@ -12,7 +12,9 @@ per-target dimension n_x constant across every timestep:
 
 Parsing is strict: malformed records name their line or record number, NaN
 or infinite cells are rejected, and any drift in t or n_x is an error
-(the metric is only defined for a fixed, known number of targets).
+(the metric is only defined for a fixed, known number of targets).  JSON
+integers are never coerced from floats, booleans or strings, and a repeated
+object key is an error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MultiTargetState
 from .errors import InconsistentShape, NonFiniteValue, ParseError
 
 __all__ = ["Trajectory", "load_trajectory"]
@@ -34,52 +35,70 @@ _SIDECAR_RE = re.compile(r"^#\s*t\s*=\s*(\d+)\s+nx\s*=\s*(\d+)\s*$")
 _COLUMN_RE = re.compile(r"^x_(\d+)_(\d+)$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered (time index, multitarget state) pairs with constant shape."""
+    """A fixed set of targets observed at strictly increasing time indices.
 
-    steps: tuple[tuple[int, MultiTargetState], ...]
+    Args:
+        time_indices: (T,) integers, strictly increasing, T >= 1.
+        states: (T, t, n_x) finite reals; ``states[i]`` is the multitarget
+            state at time ``time_indices[i]``.  Both arrays are copied and
+            made read-only.
+    """
+
+    time_indices: np.ndarray
+    states: np.ndarray
 
     def __post_init__(self):
-        steps = tuple((int(k), state) for k, state in self.steps)
-        if len(steps) < 1:
-            raise ValueError("a trajectory needs at least one timestep")
-        for (k_prev, _), (k_next, _) in zip(steps, steps[1:]):
-            if k_next <= k_prev:
-                raise ValueError(
-                    f"time indices must be strictly increasing, got {k_prev} then {k_next}"
-                )
-        t, nx = steps[0][1].num_targets, steps[0][1].state_dim
-        for k, state in steps:
-            if state.num_targets != t or state.state_dim != nx:
-                raise InconsistentShape(
-                    f"timestep {k} has {state.num_targets} targets of dimension "
-                    f"{state.state_dim}; expected {t} of dimension {nx}"
-                )
-        object.__setattr__(self, "steps", steps)
+        ks = np.array(self.time_indices)
+        if ks.ndim != 1 or ks.size < 1:
+            raise ValueError("a trajectory needs a 1-D vector of at least one time index")
+        if ks.dtype.kind not in "iu" or not np.can_cast(ks.dtype, np.int64):
+            raise ValueError(f"time indices must be 64-bit integers, got {ks.dtype} values")
+        ks = ks.astype(np.int64)
+        try:
+            states = np.array(self.states, dtype=float)
+        except ValueError:
+            raise InconsistentShape("states do not form a (T, t, n_x) array") from None
+        if states.ndim != 3 or states.shape[0] != ks.size or 0 in states.shape:
+            raise InconsistentShape(
+                f"states have shape {states.shape}; expected ({ks.size}, t, n_x) "
+                f"with t, n_x >= 1"
+            )
+        if not np.all(np.isfinite(states)):
+            raise NonFiniteValue("trajectory states contain NaN or infinity")
+        back = np.flatnonzero(np.diff(ks) <= 0)
+        if back.size:
+            i = back[0]
+            raise ValueError(
+                f"time indices must be strictly increasing, got {ks[i]} followed by {ks[i + 1]}"
+            )
+        for arr in (ks, states):
+            arr.setflags(write=False)
+        object.__setattr__(self, "time_indices", ks)
+        object.__setattr__(self, "states", states)
 
     @property
     def num_targets(self) -> int:
-        return self.steps[0][1].num_targets
+        return self.states.shape[1]
 
     @property
     def state_dim(self) -> int:
-        return self.steps[0][1].state_dim
-
-    @property
-    def time_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.steps)
+        return self.states.shape[2]
 
     def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
+        return self.states.shape[0]
 
 
-def _check_finite(values: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"NaN or infinity in {where}")
+def _trajectory(path: Path, ks: list[int], states: np.ndarray, records: list[str]) -> Trajectory:
+    """Validate parsed arrays; errors name the file and the offending record."""
+    try:
+        return Trajectory(ks, states)
+    except NonFiniteValue:
+        i = int(np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0])
+        raise NonFiniteValue(f"NaN or infinity in {path}: {records[i]}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _infer_shape_from_header(names: list[str]) -> tuple[int, int]:
@@ -142,36 +161,53 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
 
     if not data:
         raise ParseError(f"{path}: no data rows")
-    steps = []
-    for lineno, fields in data:
+    ks = []
+    values = np.empty((len(data), t * nx))
+    for i, (lineno, fields) in enumerate(data):
         if len(fields) != 1 + t * nx:
             raise InconsistentShape(
                 f"{path}: line {lineno}: row has {len(fields)} columns, "
                 f"expected {1 + t * nx} (t={t} targets of dimension {nx})"
             )
         try:
-            k = int(fields[0])
+            ks.append(int(fields[0]))
         except ValueError:
             raise ParseError(
                 f"{path}: line {lineno}: time index {fields[0]!r} is not an integer"
             ) from None
         try:
-            values = np.array([float(v) for v in fields[1:]])
+            values[i] = [float(v) for v in fields[1:]]
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric state value") from None
-        _check_finite(values, f"{path}: line {lineno}")
-        steps.append((k, MultiTargetState.from_array(values.reshape(t, nx))))
+    return _trajectory(
+        path, ks, values.reshape(-1, t, nx), [f"line {lineno}" for lineno, _ in data]
+    )
 
-    _check_time_order(steps, str(path))
-    return Trajectory(tuple(steps))
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _require_int(value, where: str) -> int:
+    # bool is a subclass of int; floats and strings are never truncated.
+    if type(value) is not int:
+        raise ParseError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -179,22 +215,20 @@ def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
         if key not in doc:
             raise ParseError(f"{path}: missing key {key!r}")
     # Explicit arguments override the declared shape, mirroring the CSV rules.
-    t = int(doc["t"]) if t is None else t
-    nx = int(doc["nx"]) if nx is None else nx
+    t = _require_int(doc["t"], f"{path}: 't'") if t is None else t
+    nx = _require_int(doc["nx"], f"{path}: 'nx'") if nx is None else nx
     if t < 1 or nx < 1:
         raise ParseError(f"{path}: t and nx must be >= 1, got t={t} nx={nx}")
     if not isinstance(doc["steps"], list) or not doc["steps"]:
         raise ParseError(f"{path}: 'steps' must be a non-empty array")
 
-    steps = []
+    ks = []
+    states = np.empty((len(doc["steps"]), t, nx))
     for i, step in enumerate(doc["steps"]):
         where = f"{path}: steps[{i}]"
         if not isinstance(step, dict) or "k" not in step or "targets" not in step:
             raise ParseError(f"{where}: expected an object with 'k' and 'targets'")
-        try:
-            k = int(step["k"])
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}: time index {step['k']!r} is not an integer") from None
+        ks.append(_require_int(step["k"], f"{where}: time index"))
         try:
             targets = np.array(step["targets"], dtype=float)
         except (TypeError, ValueError):
@@ -203,20 +237,8 @@ def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
             raise InconsistentShape(
                 f"{where}: targets have shape {targets.shape}, expected ({t}, {nx})"
             )
-        _check_finite(targets, where)
-        steps.append((k, MultiTargetState.from_array(targets)))
-
-    _check_time_order(steps, str(path))
-    return Trajectory(tuple(steps))
-
-
-def _check_time_order(steps: list[tuple[int, MultiTargetState]], where: str) -> None:
-    for (k_prev, _), (k_next, _) in zip(steps, steps[1:]):
-        if k_next <= k_prev:
-            raise ParseError(
-                f"{where}: time indices must be strictly increasing, "
-                f"got {k_prev} followed by {k_next}"
-            )
+        states[i] = targets
+    return _trajectory(path, ks, states, [f"steps[{i}]" for i in range(len(ks))])
 
 
 def load_trajectory(

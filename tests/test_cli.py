@@ -1,8 +1,12 @@
 """The lospa-eval command line: compute, demo, version, exit codes."""
 
 import json
+import os
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,21 @@ class TestComputeErrors:
         ) == 2
         assert "taxicab" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha, scale", [("1e200", 1.0), ("1", 1e200)], ids=["alpha", "coords"])
+    def test_overflow_is_one_line_exit_2(self, tmp_path, capsys, alpha, scale):
+        truth = tmp_path / "truth.csv"
+        est = tmp_path / "est.csv"
+        truth.write_text(csv_text([(0, [[0.0], [scale]])], t=2, nx=1))
+        est.write_text(csv_text([(0, [[scale], [0.0]])], t=2, nx=1))
+        code = main(
+            ["compute", "--truth", str(truth), "--est", str(est),
+             "--p", "2", "--alpha", alpha, "--metric", "euclidean"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "overflow" in err and "NaN" not in err
+
     def test_missing_required_flag_is_usage_error(self, traj_files):
         truth, _ = traj_files
         with pytest.raises(SystemExit) as exc:
@@ -163,10 +182,35 @@ class TestVersionCommand:
         assert capsys.readouterr().out.strip() == f"lospa {__version__}"
 
 
+def console_script(name):
+    """Command and environment that run a declared console script.
+
+    The installed script when it is on PATH; otherwise the ``module:func``
+    target that pyproject.toml declares for it, called in a fresh interpreter
+    with the source tree on the path.
+    """
+    installed = shutil.which(name)
+    if installed:
+        return [installed], None
+    root = Path(__file__).resolve().parents[1]
+    declared = re.search(
+        rf'^{re.escape(name)}\s*=\s*"([\w.]+):(\w+)"\s*$',
+        (root / "pyproject.toml").read_text(),
+        re.MULTILINE,
+    )
+    assert declared, f"{name} is not declared in pyproject.toml"
+    module, func = declared.groups()
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    return [sys.executable, "-c", code], env
+
+
 class TestInstalledEntryPoints:
     def test_console_script_demo(self):
+        cmd, env = console_script("lospa-eval")
         proc = subprocess.run(
-            ["lospa-eval", "demo"], capture_output=True, text=True, timeout=60
+            [*cmd, "demo"], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
@@ -183,12 +227,13 @@ class TestInstalledEntryPoints:
 
     def test_console_script_compute_deterministic(self, traj_files, tmp_path):
         truth, est = traj_files
+        cmd, env = console_script("lospa-eval")
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             proc = subprocess.run(
                 [
-                    "lospa-eval", "compute",
+                    *cmd, "compute",
                     "--truth", str(truth),
                     "--est", str(est),
                     "--p", "2", "--alpha", "0.1", "--metric", "euclidean",
@@ -197,6 +242,7 @@ class TestInstalledEntryPoints:
                 capture_output=True,
                 text=True,
                 timeout=60,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())

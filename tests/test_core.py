@@ -14,46 +14,56 @@ from lospa import (
     MultiTargetState,
     NonFiniteValue,
     Permutation,
-    TargetState,
-    base_distance,
+    add_label_penalty,
     build_cost_matrix,
     parse_base_metric,
 )
 
-from helpers import mts
+from helpers import mts, qnorm_dist
 
 
 class TestTargetState:
+    """A target's state is one row of a MultiTargetState."""
+
     def test_holds_coords(self):
-        s = TargetState(np.array([1.0, 2.0]))
-        assert s.dim == 2
-        assert s.coords.tolist() == [1.0, 2.0]
+        X = MultiTargetState(np.array([[1.0, 2.0]]))
+        assert X.state_dim == 2
+        assert X.points[0].tolist() == [1.0, 2.0]
 
     def test_rejects_non_vector(self):
         with pytest.raises(ValueError):
-            TargetState(np.array(3.0))
+            MultiTargetState(np.array(3.0))
         with pytest.raises(ValueError):
-            TargetState(np.zeros((2, 2)))
+            MultiTargetState(np.zeros((1, 2, 2)))
         with pytest.raises(ValueError):
-            TargetState(np.array([]))
+            MultiTargetState(np.zeros((1, 0)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteValue):
-            TargetState(np.array([1.0, float("nan")]))
+            MultiTargetState(np.array([[1.0, float("nan")]]))
         with pytest.raises(NonFiniteValue):
-            TargetState(np.array([float("inf")]))
+            MultiTargetState(np.array([[0.0], [float("inf")]]))
 
     def test_coords_are_read_only(self):
-        s = TargetState(np.array([1.0]))
+        source = np.array([[1.0]])
+        X = MultiTargetState(source)
         with pytest.raises(ValueError):
-            s.coords[0] = 2.0
+            X.points[0, 0] = 2.0
+        source[0, 0] = 5.0  # the state holds its own copy
+        assert X.points[0, 0] == 1.0
 
     def test_equality_and_hash(self):
-        a = TargetState(np.array([1.0, 2.0]))
-        b = TargetState(np.array([1.0, 2.0]))
-        c = TargetState(np.array([1.0, 3.0]))
+        a = mts([[1.0, 2.0]])
+        b = mts([[1.0, 2.0]])
+        c = mts([[1.0, 3.0]])
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+    def test_signed_zero_equal_states_hash_equal(self):
+        a, b = mts([[0.0, 1.0]]), mts([[-0.0, 1.0]])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestMultiTargetState:
@@ -61,48 +71,54 @@ class TestMultiTargetState:
         X = mts([-10, 0, 10])
         assert X.num_targets == 3
         assert X.state_dim == 1
-        assert X.as_array().tolist() == [[-10.0], [0.0], [10.0]]
+        assert X.points.tolist() == [[-10.0], [0.0], [10.0]]
 
     def test_from_array_round_trip(self):
         arr = np.array([[1.0, 2.0], [3.0, 4.0]])
-        X = MultiTargetState.from_array(arr)
-        assert np.array_equal(X.as_array(), arr)
-        assert len(X) == 2
-        assert X[1].coords.tolist() == [3.0, 4.0]
-        assert [s.dim for s in X] == [2, 2]
+        X = MultiTargetState(arr)
+        assert np.array_equal(X.points, arr)
+        assert X.num_targets == 2
+        assert X.points[1].tolist() == [3.0, 4.0]
 
     def test_needs_at_least_one_target(self):
         with pytest.raises(ValueError):
             MultiTargetState(())
+        with pytest.raises(ValueError):
+            MultiTargetState(np.zeros((0, 2)))
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            MultiTargetState(
-                (TargetState(np.array([1.0])), TargetState(np.array([1.0, 2.0])))
-            )
+            MultiTargetState([[1.0], [1.0, 2.0]])
+        with pytest.raises(DimensionMismatch):
+            mts([[1.0], [1.0, 2.0]])
 
     def test_equality(self):
         assert mts([1, 2]) == mts([1, 2])
         assert mts([1, 2]) != mts([2, 1])
+        assert mts([1, 2]) != mts([[1, 2]])
+
+
+def distance(metric, x, y):
+    """Base distance between two single coordinate vectors."""
+    return float(metric.pairwise(np.array([x], dtype=float), np.array([y], dtype=float))[0, 0])
 
 
 class TestBaseMetric:
     def test_euclidean_identity(self):
         m = BaseMetric.euclidean()
-        assert m.distance(np.array([0.0]), np.array([0.0])) == 0.0
+        assert distance(m, [0.0], [0.0]) == 0.0
 
     def test_euclidean_table_residual(self):
         m = BaseMetric.euclidean()
-        d = m.distance(np.array([-10.1]), np.array([-10.0]))
-        assert d == pytest.approx(0.1, abs=1e-15)
+        assert distance(m, [-10.1], [-10.0]) == pytest.approx(0.1, abs=1e-15)
 
     def test_euclidean_3_4_5(self):
         m = BaseMetric.euclidean()
-        assert m.distance(np.array([3.0, 4.0]), np.array([0.0, 0.0])) == 5.0
+        assert distance(m, [3.0, 4.0], [0.0, 0.0]) == 5.0
 
     def test_manhattan(self):
         m = BaseMetric.pnorm(1.0)
-        assert m.distance(np.array([3.0, 4.0]), np.array([0.0, 0.0])) == 7.0
+        assert distance(m, [3.0, 4.0], [0.0, 0.0]) == 7.0
 
     def test_q_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -112,11 +128,11 @@ class TestBaseMetric:
         rng = np.random.default_rng(7)
         xs, ys = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         for q in (1.0, 2.0, 3.5):
-            m = BaseMetric.pnorm(q)
-            table = m.pairwise(xs, ys)
+            table = BaseMetric.pnorm(q).pairwise(xs, ys)
             for j in range(4):
                 for k in range(4):
-                    assert table[j, k] == pytest.approx(m.distance(xs[j], ys[k]), rel=1e-12)
+                    expected = qnorm_dist(xs[j].tolist(), ys[k].tolist(), q)
+                    assert table[j, k] == pytest.approx(expected, rel=1e-12)
 
     def test_describe_parse_round_trip(self):
         for text in ("euclidean", "pnorm:1.5", "pnorm:3"):
@@ -193,26 +209,21 @@ class TestCostMatrix:
 
 
 class TestBaseDistance:
+    """b(x, y) between single targets, as the cost of a one-target pairing."""
+
     def test_known_distances(self):
-        params = LospaParams()
-        zero = TargetState(np.array([0.0]))
-        assert base_distance(zero, zero, params) == 0.0
-        d = base_distance(
-            TargetState(np.array([-10.1])), TargetState(np.array([-10.0])), params
-        )
-        assert d == pytest.approx(0.1, abs=1e-15)
-        d = base_distance(
-            TargetState(np.array([3.0, 4.0])), TargetState(np.array([0.0, 0.0])), params
-        )
-        assert d == 5.0
+        params = LospaParams(p=1.0, alpha=0.0)
+
+        def b(x, y):
+            return float(build_cost_matrix(mts([x]), mts([y]), params).entries[0, 0])
+
+        assert b([0.0], [0.0]) == 0.0
+        assert b([-10.1], [-10.0]) == pytest.approx(0.1, abs=1e-15)
+        assert b([3.0, 4.0], [0.0, 0.0]) == 5.0
 
     def test_dimension_mismatch_names_both(self):
         with pytest.raises(DimensionMismatch) as err:
-            base_distance(
-                TargetState(np.array([0.0, 0.0])),
-                TargetState(np.array([0.0, 0.0, 0.0])),
-                LospaParams(),
-            )
+            build_cost_matrix(mts([[0.0, 0.0]]), mts([[0.0, 0.0, 0.0]]), LospaParams())
         assert "2" in str(err.value) and "3" in str(err.value)
 
 
@@ -246,3 +257,11 @@ class TestBuildCostMatrix:
             build_cost_matrix(
                 mts([[0, 0], [1, 1]]), mts([0, 1]), LospaParams()
             )
+
+    def test_label_penalty_on_localization_matches_direct_build(self):
+        rng = np.random.default_rng(11)
+        A, B = mts(rng.normal(size=(5, 2)).tolist()), mts(rng.normal(size=(5, 2)).tolist())
+        params = LospaParams(p=3.0, alpha=0.7, base_metric=BaseMetric.pnorm(1.5))
+        localization = build_cost_matrix(A, B, params.with_alpha(0.0))
+        direct = build_cost_matrix(A, B, params)
+        assert np.array_equal(add_label_penalty(localization, params).entries, direct.entries)

@@ -19,9 +19,12 @@ from lospa.constants import REL_TOL_EXACT
 from helpers import ESTIMATE_POINTS, TRUTH_POINTS, expected_table_value, mts
 
 
+def trajectory(ks, point_lists):
+    return Trajectory(list(ks), [mts(points).points for points in point_lists])
+
+
 def constant_trajectory(points, n_steps=3):
-    state = mts(points)
-    return Trajectory(tuple((k, state) for k in range(n_steps)))
+    return trajectory(range(n_steps), [points] * n_steps)
 
 
 TRUTH_TRAJ = constant_trajectory(TRUTH_POINTS)
@@ -53,7 +56,7 @@ class TestEvaluate:
 
     def test_aggregates_are_mean_and_max(self):
         # Three different estimates as a single trajectory vs constant truth.
-        est = Trajectory(tuple((k, mts(pts)) for k, pts in enumerate(ESTIMATE_POINTS)))
+        est = trajectory(range(3), ESTIMATE_POINTS)
         report = evaluate(TRUTH_TRAJ, est, LospaParams(p=2.0, alpha=1.0))
         values = [step.lospa for step in report.per_step]
         assert report.mean_lospa == sum(values) / 3
@@ -61,8 +64,8 @@ class TestEvaluate:
         assert report.max_lospa == values[2]  # worst labelling last
 
     def test_timestep_mismatch_lists_indices(self):
-        truth = Trajectory(tuple((k, mts([0, 1])) for k in (0, 1, 2)))
-        est = Trajectory(tuple((k, mts([0, 1])) for k in (0, 1, 3)))
+        truth = trajectory((0, 1, 2), [[0, 1]] * 3)
+        est = trajectory((0, 1, 3), [[0, 1]] * 3)
         with pytest.raises(TimestepMismatch) as err:
             evaluate(truth, est, LospaParams())
         assert "[2]" in str(err.value) and "[3]" in str(err.value)
@@ -82,12 +85,12 @@ class TestEvaluate:
         for _ in range(20):
             t = int(rng.integers(1, 5))
             steps_t, steps_e = [], []
-            for k in range(4):
-                steps_t.append((k, mts(rng.uniform(-10, 10, size=(t, 2)).tolist())))
-                steps_e.append((k, mts(rng.uniform(-10, 10, size=(t, 2)).tolist())))
+            for _ in range(4):
+                steps_t.append(rng.uniform(-10, 10, size=(t, 2)))
+                steps_e.append(rng.uniform(-10, 10, size=(t, 2)))
             report = evaluate(
-                Trajectory(tuple(steps_t)),
-                Trajectory(tuple(steps_e)),
+                Trajectory(range(4), steps_t),
+                Trajectory(range(4), steps_e),
                 LospaParams(p=2.0, alpha=1.0),
             )
             for step in report.per_step:
@@ -105,7 +108,7 @@ class TestEvaluate:
 
 class TestReportJson:
     def make_report(self):
-        est = Trajectory(tuple((k, mts(pts)) for k, pts in enumerate(ESTIMATE_POINTS)))
+        est = trajectory(range(3), ESTIMATE_POINTS)
         return evaluate(TRUTH_TRAJ, est, LospaParams(p=2.0, alpha=1.0))
 
     def test_key_order_and_content(self):

@@ -10,7 +10,6 @@ from lospa import (
     LabelledSet,
     LabelledTarget,
     LospaParams,
-    TargetState,
     from_vector,
     lospa,
     lospa_sets,
@@ -24,7 +23,7 @@ from helpers import ESTIMATE_POINTS, TRUTH_POINTS, mts
 def lset(pairs):
     """LabelledSet from (scalar coordinate, label) pairs."""
     return LabelledSet(
-        tuple(LabelledTarget(TargetState(np.array([float(x)])), label) for x, label in pairs)
+        tuple(LabelledTarget(np.array([float(x)]), label) for x, label in pairs)
     )
 
 
@@ -37,8 +36,8 @@ class TestLabelledSet:
         with pytest.raises(DimensionMismatch):
             LabelledSet(
                 (
-                    LabelledTarget(TargetState(np.array([0.0])), 1),
-                    LabelledTarget(TargetState(np.array([0.0, 1.0])), 2),
+                    LabelledTarget(np.array([0.0]), 1),
+                    LabelledTarget(np.array([0.0, 1.0]), 2),
                 )
             )
 
@@ -52,6 +51,14 @@ class TestLabelledSet:
         assert a == b
         assert hash(a) == hash(b)
         assert a.labels == frozenset({1, 2})
+        assert a != lset([(5.0, 1), (0.0, 2)])
+
+    def test_signed_zero_sets_equal_and_hash_equal(self):
+        A, B = mts([[0.0], [1.0]]), mts([[-0.0], [1.0]])
+        assert A == B
+        a, b = from_vector(A, [1, 2]), from_vector(B, [1, 2])
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestVectorRoundTrip:

@@ -19,6 +19,7 @@ from lospa import (
     SolverBackend,
     build_cost_matrix,
     lospa,
+    lospa_and_ospa,
     ospa_no_cutoff,
     path_cost,
 )
@@ -104,6 +105,20 @@ def test_reported_permutation_reproduces_distance():
             assert total == pytest.approx(
                 t * result.distance**params.p, rel=REL_TOL_EXACT
             )
+
+
+@pytest.mark.parametrize("backend", list(SolverBackend))
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+def test_lospa_and_ospa_equal_separate_calls(backend, alpha):
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        t = int(rng.integers(1, 7))
+        A = mts(rng.uniform(-5, 5, size=(t, 2)).tolist())
+        B = mts(rng.uniform(-5, 5, size=(t, 2)).tolist())
+        params = LospaParams(p=1.5, alpha=alpha)
+        labelled, unlabelled = lospa_and_ospa(A, B, params, backend)
+        assert labelled == lospa(A, B, params, backend=backend)
+        assert unlabelled == lospa(A, B, params.with_alpha(0.0), backend=backend)
 
 
 def test_kind_tag():

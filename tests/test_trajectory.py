@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lospa import (
@@ -29,8 +30,8 @@ class TestCsv:
         assert traj.num_targets == 3
         assert traj.state_dim == 1
         assert len(traj) == 2
-        assert traj.time_indices == (0, 1)
-        assert traj.steps[1][1] == mts([-10.5, 0.5, 10.5])
+        assert traj.time_indices.tolist() == [0, 1]
+        assert MultiTargetState(traj.states[1]) == mts([-10.5, 0.5, 10.5])
 
     def test_header_inference_without_sidecar(self, tmp_path):
         path = tmp_path / "traj.csv"
@@ -46,7 +47,8 @@ class TestCsv:
         traj = load_trajectory(path, "csv")
         assert traj.num_targets == 2
         assert traj.state_dim == 2
-        assert traj.time_indices == (2, 5)
+        assert traj.time_indices.tolist() == [2, 5]
+        assert traj.states.tolist() == [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]]
 
     def test_explicit_shape_beats_header_names(self, tmp_path):
         # Arbitrary column names are fine once the shape is given explicitly.
@@ -126,7 +128,26 @@ class TestJson:
         traj = load_trajectory(path, "json")
         assert traj.num_targets == 3
         assert traj.state_dim == 1
-        assert traj.steps[0][1] == mts([-10, 0, 10])
+        assert MultiTargetState(traj.states[0]) == mts([-10, 0, 10])
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"t": 2.9, "nx": 1, "steps": [{"k": 0, "targets": [[1.0], [2.0]]}]}', "'t'"),
+            ('{"t": 1, "nx": true, "steps": [{"k": 0, "targets": [[1.0]]}]}', "'nx'"),
+            ('{"t": 1, "nx": 1, "steps": [{"k": 1.7, "targets": [[1.0]]}]}', "steps[0]"),
+            ('{"t": 1, "nx": 1, "steps": [{"k": "2", "targets": [[1.0]]}]}', "steps[0]"),
+            ('{"t": 1, "t": 2, "nx": 1, "steps": [{"k": 0, "targets": [[1.0]]}]}', "'t'"),
+            ('{"t": 1, "nx": 1, "steps": [{"k": 0, "k": 1, "targets": [[1.0]]}]}', "'k'"),
+        ],
+        ids=["float_t", "bool_nx", "float_k", "string_k", "duplicate_t", "duplicate_k"],
+    )
+    def test_non_integer_or_duplicate_keys_rejected(self, tmp_path, text, named):
+        path = tmp_path / "traj.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "json")
+        assert named in str(err.value)
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "traj.json"
@@ -183,16 +204,35 @@ class TestJson:
 
 class TestTrajectoryType:
     def test_direct_construction_checks_order(self):
+        with pytest.raises(ValueError) as err:
+            Trajectory([1, 1], np.zeros((2, 1, 1)))
+        assert "increasing" in str(err.value)
         with pytest.raises(ValueError):
-            Trajectory(((1, mts([0])), (1, mts([1]))))
+            Trajectory([0.0, 1.0], np.zeros((2, 1, 1)))
 
     def test_direct_construction_checks_shape(self):
         with pytest.raises(InconsistentShape):
-            Trajectory(((0, mts([0])), (1, mts([0, 1]))))
+            Trajectory([0, 1], [[[0.0]], [[0.0], [1.0]]])
+        with pytest.raises(InconsistentShape):
+            Trajectory([0, 1], np.zeros((3, 1, 1)))
+        with pytest.raises(InconsistentShape):
+            Trajectory([0, 1], np.zeros((2, 1)))
+        with pytest.raises(NonFiniteValue):
+            Trajectory([0], [[[float("nan")]]])
 
     def test_needs_a_step(self):
         with pytest.raises(ValueError):
-            Trajectory(())
+            Trajectory([], np.zeros((0, 1, 1)))
+
+    def test_arrays_are_read_only_copies(self):
+        ks, states = np.array([0, 3]), np.zeros((2, 2, 1))
+        traj = Trajectory(ks, states)
+        states[0, 0, 0] = 9.0
+        assert traj.states[0, 0, 0] == 0.0
+        with pytest.raises(ValueError):
+            traj.states[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            traj.time_indices[0] = 1
 
 
 def test_unknown_format(tmp_path):
