@@ -1,9 +1,12 @@
-"""Report files frozen byte for byte.
+"""CLI output frozen byte for byte.
 
-Each case runs ``lospa-eval compute`` on committed truth/estimate files and
-compares the report with one frozen before the array-based core replaced the
-per-target objects.  Positions are distinct and displacements irregular, so
-no two pairings tie and the optimal permutation is unique.
+Each report case runs ``lospa-eval compute`` on committed truth/estimate
+files and compares the report with one frozen before the array-based core
+replaced the per-target objects.  Positions are distinct and displacements
+irregular, so no two pairings tie and the optimal permutation is unique.
+
+The demo case compares the whole stdout of ``lospa-eval demo`` with a copy
+frozen before the demo read its values from its evaluation reports.
 """
 
 from pathlib import Path
@@ -39,3 +42,8 @@ def test_report_bytes(truth, est, args, expected, tmp_path):
     )
     assert code == 0
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
+
+
+def test_demo_bytes(capsysbinary):
+    assert main(["demo"]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / "demo.txt").read_bytes()
