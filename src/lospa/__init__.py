@@ -9,7 +9,6 @@ exact minimization over target pairings.  Setting the labelling penalty
 from .assignment import (
     AssignmentSolution,
     SolverBackend,
-    brute_force_cap,
     path_cost,
     solve,
     solve_brute_force,
@@ -58,7 +57,6 @@ __all__ = [
     # assignment
     "SolverBackend",
     "AssignmentSolution",
-    "brute_force_cap",
     "path_cost",
     "solve",
     "solve_brute_force",

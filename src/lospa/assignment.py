@@ -14,7 +14,6 @@ Both are pure functions; concurrent calls need no synchronization.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -22,21 +21,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .constants import BRUTE_CAP_ENV_VAR, DEFAULT_BRUTE_CAP
+from .constants import DEFAULT_BRUTE_CAP
 from .core import CostMatrix, Permutation
-from .errors import CapExceeded, LospaError
+from .errors import CapExceeded
 
 __all__ = [
     "AssignmentSolution",
     "SolverBackend",
-    "brute_force_cap",
     "solve_brute_force",
     "solve_optimal",
     "solve",
 ]
-
-# Enumeration chunk size; one chunk covers all permutations up to t = 8.
-_CHUNK = 40320
 
 
 class SolverBackend(Enum):
@@ -54,24 +49,6 @@ class AssignmentSolution:
     total_cost: float
 
 
-def brute_force_cap() -> int:
-    """Current target-count cap for the brute-force solver.
-
-    The environment variable named by ``BRUTE_CAP_ENV_VAR`` overrides the
-    built-in default.
-    """
-    raw = os.environ.get(BRUTE_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BRUTE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise LospaError(f"{BRUTE_CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise LospaError(f"{BRUTE_CAP_ENV_VAR} must be >= 1, got {cap}")
-    return cap
-
-
 def _cost_matrix(C: CostMatrix | np.ndarray) -> CostMatrix:
     return C if isinstance(C, CostMatrix) else CostMatrix(C)
 
@@ -87,20 +64,16 @@ def path_cost(C: CostMatrix | np.ndarray, perm: Permutation) -> float:
 
 @lru_cache(maxsize=None)
 def _perm_table(t: int) -> np.ndarray:
-    # Cached only for t <= 8 (the largest table is ~2.6 MB).
-    return np.array(list(itertools.permutations(range(t))), dtype=np.intp)
+    # t <= DEFAULT_BRUTE_CAP, so the largest table (t = 8) is about 2.6 MB.
+    # Every caller shares the cached table, so it is read-only.
+    table = np.array(list(itertools.permutations(range(t))), dtype=np.intp)
+    table.setflags(write=False)
+    return table
 
 
-def _chunk_min(entries: np.ndarray, perms: np.ndarray) -> tuple[float, np.ndarray]:
-    # Column-by-column accumulation reproduces left-to-right summation.
-    totals = np.zeros(len(perms))
-    for j in range(entries.shape[0]):
-        totals += entries[j, perms[:, j]]
-    i = int(np.argmin(totals))  # first occurrence, i.e. smallest perm in the chunk
-    return float(totals[i]), perms[i]
-
-
-def solve_brute_force(C: CostMatrix | np.ndarray, cap: int | None = None) -> AssignmentSolution:
+def solve_brute_force(
+    C: CostMatrix | np.ndarray, cap: int = DEFAULT_BRUTE_CAP
+) -> AssignmentSolution:
     """Exhaustive minimum over all t! pairings.
 
     Among cost ties the lexicographically smallest permutation wins, which
@@ -109,39 +82,29 @@ def solve_brute_force(C: CostMatrix | np.ndarray, cap: int | None = None) -> Ass
 
     Args:
         C: square cost matrix (finite, nonnegative).
-        cap: maximum t to enumerate; ``None`` resolves the configured cap.
+        cap: maximum t to enumerate; it may lower ``DEFAULT_BRUTE_CAP`` but
+            not raise it.
 
     Raises:
+        ValueError: if ``cap`` exceeds ``DEFAULT_BRUTE_CAP``.
         CapExceeded: if the matrix is larger than the cap allows.
     """
+    if cap > DEFAULT_BRUTE_CAP:
+        raise ValueError(f"cap may be at most {DEFAULT_BRUTE_CAP}, got {cap}")
     entries = _cost_matrix(C).entries
     t = entries.shape[0]
-    if cap is None:
-        cap = brute_force_cap()
     if t > cap:
         raise CapExceeded(
             f"brute force over {t}! permutations exceeds the cap of {cap} targets; "
             f"use the optimal-assignment backend instead"
         )
-
-    if t <= 8:
-        best_total, best_row = _chunk_min(entries, _perm_table(t))
-    else:
-        # Above the default cap: stream t! rows without materializing them all.
-        best_total = np.inf
-        best_row = None
-        perm_iter = itertools.permutations(range(t))
-        while True:
-            block = list(itertools.islice(perm_iter, _CHUNK))
-            if not block:
-                break
-            total, row = _chunk_min(entries, np.array(block, dtype=np.intp))
-            if total < best_total:  # strict: earlier chunk wins ties
-                best_total, best_row = total, row
-        assert best_row is not None
-    return AssignmentSolution(
-        perm=Permutation(tuple(int(v) for v in best_row)), total_cost=best_total
-    )
+    perms = _perm_table(t)
+    # Column-by-column accumulation reproduces left-to-right summation.
+    totals = np.zeros(len(perms))
+    for j in range(t):
+        totals += entries[j, perms[:, j]]
+    i = int(np.argmin(totals))  # first occurrence, i.e. the smallest tied perm
+    return AssignmentSolution(perm=Permutation(perms[i]), total_cost=float(totals[i]))
 
 
 def solve_optimal(C: CostMatrix | np.ndarray) -> AssignmentSolution:
@@ -156,7 +119,7 @@ def solve_optimal(C: CostMatrix | np.ndarray) -> AssignmentSolution:
     """
     C = _cost_matrix(C)
     _, cols = linear_sum_assignment(C.entries)
-    perm = Permutation(tuple(int(c) for c in cols))
+    perm = Permutation(cols)
     return AssignmentSolution(perm=perm, total_cost=path_cost(C, perm))
 
 

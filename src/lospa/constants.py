@@ -17,11 +17,9 @@ REL_TOL_BACKENDS = 1e-10
 ABS_TOL_TRIANGLE = 1e-9
 
 # Exhaustive enumeration visits t! permutations; above this many targets the
-# brute-force solver refuses and points at the optimal backend.
+# brute-force solver refuses and points at the optimal backend.  A caller's
+# cap may lower this limit but not raise it.
 DEFAULT_BRUTE_CAP = 8
-
-# Environment variable that overrides DEFAULT_BRUTE_CAP.
-BRUTE_CAP_ENV_VAR = "LOSPA_BRUTE_CAP"
 
 # Floats in report files are serialized with this many significant digits so
 # that identical runs produce byte-identical output.

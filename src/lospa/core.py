@@ -175,7 +175,8 @@ class Permutation:
     """Bijection on {0, ..., t-1}, stored as the image tuple (0-based).
 
     ``mapping[j] = k`` pairs position j of the first state with position k
-    of the second.
+    of the second.  Any sequence of integers, an index array included, is
+    converted to a tuple of ints.
     """
 
     mapping: tuple[int, ...]

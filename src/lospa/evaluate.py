@@ -19,7 +19,7 @@ from .assignment import SolverBackend
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import LospaParams, MultiTargetState, Permutation
 from .errors import DimensionMismatch, TimestepMismatch
-from .metric import lospa, lospa_and_ospa
+from .metric import lospa_and_ospa
 from .trajectory import Trajectory
 
 __all__ = ["StepResult", "EvalReport", "evaluate", "DemoCell", "DemoReport", "run_demo"]
@@ -219,7 +219,8 @@ class DemoReport:
     """All six demo cells, the shared unlabelled distances, and full reports.
 
     ``reports`` holds one :class:`EvalReport` per alpha, treating the three
-    estimates as a 3-step trajectory against the constant truth.
+    estimates as a 3-step trajectory against the constant truth; the cells
+    and ``ospa_values`` are read from them.
     """
 
     cells: tuple[DemoCell, ...]
@@ -261,35 +262,27 @@ def run_demo(backend: SolverBackend = SolverBackend.OPTIMAL) -> DemoReport:
     distance is sqrt(0.1**2 + wrong * alpha**2 / 3) while the unlabelled one
     stays 0.1 throughout.
     """
-    truth = MultiTargetState.from_points(_DEMO_TRUTH)
-    estimates = [MultiTargetState.from_points(pts) for pts in _DEMO_ESTIMATES]
-
-    cells = []
-    for alpha in _DEMO_ALPHAS:
-        params = LospaParams(p=2.0, alpha=alpha)
-        for row, (est, wrong) in enumerate(zip(estimates, _DEMO_WRONG_PAIRINGS), start=1):
-            computed = lospa(est, truth, params, backend=backend).distance
-            expected = math.sqrt(0.1**2 + wrong * alpha**2 / 3.0)
-            cells.append(
-                DemoCell(
-                    row=row,
-                    estimate=_DEMO_ESTIMATES[row - 1],
-                    alpha=alpha,
-                    computed=computed,
-                    expected=expected,
-                )
-            )
-
-    zero = LospaParams(p=2.0, alpha=0.0)
-    ospa_values = tuple(
-        lospa(est, truth, zero, backend=backend).distance for est in estimates
-    )
-
-    ks = range(len(estimates))
-    truth_traj = Trajectory(ks, [truth.points for _ in ks])
-    est_traj = Trajectory(ks, [est.points for est in estimates])
+    ks = range(len(_DEMO_ESTIMATES))
+    truth = MultiTargetState.from_points(_DEMO_TRUTH).points
+    truth_traj = Trajectory(ks, [truth for _ in ks])
+    est_traj = Trajectory(ks, [MultiTargetState.from_points(e).points for e in _DEMO_ESTIMATES])
     reports = tuple(
         evaluate(truth_traj, est_traj, LospaParams(p=2.0, alpha=alpha), backend=backend)
         for alpha in _DEMO_ALPHAS
     )
-    return DemoReport(cells=tuple(cells), ospa_values=ospa_values, reports=reports)
+    cells = tuple(
+        DemoCell(
+            row=row,
+            estimate=estimate,
+            alpha=alpha,
+            computed=step.lospa,
+            expected=math.sqrt(0.1**2 + wrong * alpha**2 / 3.0),
+        )
+        for alpha, report in zip(_DEMO_ALPHAS, reports)
+        for row, (estimate, wrong, step) in enumerate(
+            zip(_DEMO_ESTIMATES, _DEMO_WRONG_PAIRINGS, report.per_step), start=1
+        )
+    )
+    # Each report's ospa column is the alpha = 0 distance of every estimate.
+    ospa_values = tuple(step.ospa for step in reports[0].per_step)
+    return DemoReport(cells=cells, ospa_values=ospa_values, reports=reports)

@@ -5,16 +5,19 @@ per-target dimension n_x constant across every timestep:
 
 * CSV — header ``k,x_1_1,...,x_1_nx,x_2_1,...,x_t_nx`` and one row per
   timestep.  t and n_x are declared either by a sidecar comment line
-  ``# t=<int> nx=<int>`` (anywhere before the data), by explicit arguments,
-  or, failing both, are inferred from the ``x_<target>_<component>`` header
-  names.  Explicit arguments win over the sidecar, which wins over inference.
+  ``# t=<int> nx=<int>`` (at most one, anywhere before the first data row),
+  by explicit arguments, or, failing both, are inferred from the
+  ``x_<target>_<component>`` header names.  Explicit arguments win over the
+  sidecar, which wins over inference.  Data rows hold plain ASCII numbers:
+  no ``_`` digit separators and no non-ASCII digits.
 * JSON — ``{"t": int, "nx": int, "steps": [{"k": int, "targets": [[...]]}]}``.
 
 Parsing is strict: malformed records name their line or record number, NaN
 or infinite cells are rejected, and any drift in t or n_x is an error
 (the metric is only defined for a fixed, known number of targets).  JSON
-integers are never coerced from floats, booleans or strings, and a repeated
-object key is an error.
+integers are never coerced from floats, booleans or strings, target entries
+must be JSON numbers (not booleans, strings or null), and a repeated object
+key is an error.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .errors import InconsistentShape, NonFiniteValue, ParseError
 
 __all__ = ["Trajectory", "load_trajectory"]
 
-_SIDECAR_RE = re.compile(r"^#\s*t\s*=\s*(\d+)\s+nx\s*=\s*(\d+)\s*$")
-_COLUMN_RE = re.compile(r"^x_(\d+)_(\d+)$")
+_SIDECAR_RE = re.compile(r"^#\s*t\s*=\s*(\d+)\s+nx\s*=\s*(\d+)\s*$", re.ASCII)
+_COLUMN_RE = re.compile(r"^x_(\d+)_(\d+)$", re.ASCII)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +135,18 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
             if line.lstrip().startswith("#"):
                 m = _SIDECAR_RE.match(line.strip())
                 if m:
+                    if sidecar is not None or len(rows) > 1:
+                        raise ParseError(
+                            f"{path}: line {lineno}: the '# t=.. nx=..' line may appear "
+                            f"only once, before the first data row"
+                        )
                     sidecar = (int(m.group(1)), int(m.group(2)))
                 continue
+            # int() and float() would read '1_0' as 10 and non-ASCII digits too.
+            if rows and ("_" in line or not line.isascii()):
+                raise ParseError(
+                    f"{path}: line {lineno}: data rows may hold only plain ASCII numbers"
+                )
             rows.append((lineno, next(csv.reader([line]))))
 
     if not rows:
@@ -214,9 +227,12 @@ def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
     for key in ("t", "nx", "steps"):
         if key not in doc:
             raise ParseError(f"{path}: missing key {key!r}")
-    # Explicit arguments override the declared shape, mirroring the CSV rules.
-    t = _require_int(doc["t"], f"{path}: 't'") if t is None else t
-    nx = _require_int(doc["nx"], f"{path}: 'nx'") if nx is None else nx
+    # Explicit arguments override the declared shape, mirroring the CSV rules;
+    # the declared values must be integers all the same.
+    declared_t = _require_int(doc["t"], f"{path}: 't'")
+    declared_nx = _require_int(doc["nx"], f"{path}: 'nx'")
+    t = declared_t if t is None else t
+    nx = declared_nx if nx is None else nx
     if t < 1 or nx < 1:
         raise ParseError(f"{path}: t and nx must be >= 1, got t={t} nx={nx}")
     if not isinstance(doc["steps"], list) or not doc["steps"]:
@@ -231,12 +247,16 @@ def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
         ks.append(_require_int(step["k"], f"{where}: time index"))
         try:
             targets = np.array(step["targets"], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{where}: 'targets' is not a rectangular array of reals") from None
         if targets.shape != (t, nx):
             raise InconsistentShape(
                 f"{where}: targets have shape {targets.shape}, expected ({t}, {nx})"
             )
+        # np.array would read true as 1.0 and "2.5" as 2.5.
+        bad = [v for row in step["targets"] for v in row if type(v) not in (int, float)]
+        if bad:
+            raise ParseError(f"{where}: target entry {bad[0]!r} is not a JSON number")
         states[i] = targets
     return _trajectory(path, ks, states, [f"steps[{i}]" for i in range(len(ks))])
 

@@ -7,7 +7,6 @@ from lospa import (
     CapExceeded,
     CostMatrix,
     InvalidCost,
-    LospaError,
     LospaParams,
     SolverBackend,
     build_cost_matrix,
@@ -16,7 +15,7 @@ from lospa import (
     solve_brute_force,
     solve_optimal,
 )
-from lospa.constants import BRUTE_CAP_ENV_VAR, REL_TOL_BACKENDS
+from lospa.constants import REL_TOL_BACKENDS
 
 from helpers import enum_min_assignment, mts
 
@@ -62,22 +61,9 @@ class TestBruteForce:
         assert "optimal" in str(err.value)
         with pytest.raises(CapExceeded):
             solve_brute_force(np.zeros((3, 3)), cap=2)
-
-    def test_cap_env_var(self, monkeypatch):
-        monkeypatch.setenv(BRUTE_CAP_ENV_VAR, "2")
-        with pytest.raises(CapExceeded):
-            solve_brute_force(np.zeros((3, 3)))
-        monkeypatch.setenv(BRUTE_CAP_ENV_VAR, "9")
-        sol = solve_brute_force(np.zeros((9, 9)))  # 362,880 permutations, chunked
-        assert tuple(sol.perm) == tuple(range(9))
-
-    def test_bad_env_var(self, monkeypatch):
-        monkeypatch.setenv(BRUTE_CAP_ENV_VAR, "eight")
-        with pytest.raises(LospaError):
-            solve_brute_force(np.zeros((2, 2)))
-        monkeypatch.setenv(BRUTE_CAP_ENV_VAR, "0")
-        with pytest.raises(LospaError):
-            solve_brute_force(np.zeros((2, 2)))
+        # The cap may only lower the default limit of 8 targets.
+        with pytest.raises(ValueError):
+            solve_brute_force(np.zeros((2, 2)), cap=9)
 
     def test_matches_pure_python_enumeration(self):
         rng = np.random.default_rng(11)

@@ -23,7 +23,7 @@ from lospa import (
     ospa_no_cutoff,
     path_cost,
 )
-from lospa.constants import BRUTE_CAP_ENV_VAR, REL_TOL_EXACT
+from lospa.constants import REL_TOL_EXACT
 
 from helpers import ESTIMATE_POINTS, TRUTH_POINTS, enum_lospa, expected_table_value, mts
 
@@ -155,7 +155,7 @@ def test_dimension_mismatch():
         lospa(mts([0, 1]), mts([0, 1, 2]), LospaParams())
 
 
-def test_brute_cap_raises(monkeypatch):
-    monkeypatch.setenv(BRUTE_CAP_ENV_VAR, "2")
+def test_brute_cap_raises():
+    nine = mts(np.arange(9.0))
     with pytest.raises(CapExceeded):
-        lospa(TRUTH, TRUTH, LospaParams(), backend=SolverBackend.BRUTE_FORCE)
+        lospa(nine, nine, LospaParams(), backend=SolverBackend.BRUTE_FORCE)

@@ -67,6 +67,40 @@ class TestCsv:
         # Comments are allowed between header and data as well.
         assert load_trajectory(path, "csv").num_targets == 1
 
+    def test_sidecar_after_data_rejected(self, tmp_path):
+        # Honoured, this line would turn two 1-D targets into one 2-D target.
+        path = tmp_path / "traj.csv"
+        path.write_text("k,x_1_1,x_2_1\n0,1.0,2.0\n# t=1 nx=2\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        assert "line 3" in str(err.value)
+
+    def test_second_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# t=1 nx=1\nk,x_1_1\n# t=1 nx=1\n0,1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["0,1_0", "0,1_0.5", "0,\u0663", "1_0,1.0", "0,1.0\u00a0"],
+        ids=["underscore_int", "underscore_float", "arabic_indic_digit", "underscore_k",
+             "non_ascii_space"],
+    )
+    def test_data_rows_hold_plain_ascii_numbers(self, tmp_path, row):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"# t=1 nx=1\nk,x_1_1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        assert "line 3" in str(err.value)
+
+    def test_header_names_use_ascii_digits(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("k,x_\u0661_1\n0,1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_trajectory(path, "csv")
+
     def test_nan_cell_names_line(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("# t=3 nx=1\nk,x_1_1,x_2_1,x_3_1\n0,-10,nan,10\n")
@@ -147,6 +181,33 @@ class TestJson:
         path.write_text(text)
         with pytest.raises(ParseError) as err:
             load_trajectory(path, "json")
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, shape, named",
+        [
+            ('{"t": 2, "nx": 1, "steps": [{"k": 0, "targets": [[true], [2.5]]}]}', {},
+             "steps[0]"),
+            ('{"t": 2, "nx": 1, "steps": [{"k": 0, "targets": [[1.0], ["2.5"]]}]}', {},
+             "steps[0]"),
+            ('{"t": 1, "nx": 1, "steps": [{"k": 0, "targets": [[null]]}]}', {}, "steps[0]"),
+            ('{"t": 1, "nx": 1, "steps": [{"k": 0, "targets": [[1e0]]}, '
+             '{"k": 1, "targets": [[false]]}]}', {}, "steps[1]"),
+            ('{"t": 1, "nx": 1, "steps": [{"k": 0, "targets": [[1' + "0" * 400 + ']]}]}',
+             {}, "steps[0]"),
+            ('{"t": 2.9, "nx": 1, "steps": [{"k": 0, "targets": [[1.0]]}]}',
+             {"t": 1, "nx": 1}, "'t'"),
+            ('{"t": 1, "nx": true, "steps": [{"k": 0, "targets": [[1.0]]}]}',
+             {"t": 1, "nx": 1}, "'nx'"),
+        ],
+        ids=["bool_target", "string_target", "null_target", "bool_in_second_step",
+             "int_beyond_float64", "float_t_under_flag", "bool_nx_under_flag"],
+    )
+    def test_non_number_values_rejected(self, tmp_path, text, shape, named):
+        path = tmp_path / "traj.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "json", **shape)
         assert named in str(err.value)
 
     def test_missing_key(self, tmp_path):
