@@ -13,6 +13,7 @@ from .assignment import (
     solve,
     solve_brute_force,
     solve_optimal,
+    solve_stack,
 )
 from .core import (
     BaseMetric,
@@ -20,7 +21,6 @@ from .core import (
     LospaParams,
     MultiTargetState,
     Permutation,
-    add_label_penalty,
     build_cost_matrix,
     parse_base_metric,
 )
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .evaluate import DemoReport, EvalReport, StepResult, evaluate, run_demo
 from .labelled import LabelledSet, LabelledTarget, from_vector, lospa_sets, to_vector
-from .metric import LospaResult, MetricKind, lospa, lospa_and_ospa, ospa_no_cutoff
+from .metric import LospaResult, MetricKind, lospa, ospa_no_cutoff
 from .trajectory import Trajectory, load_trajectory
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "Permutation",
     "CostMatrix",
     "build_cost_matrix",
-    "add_label_penalty",
     # assignment
     "SolverBackend",
     "AssignmentSolution",
@@ -61,11 +60,11 @@ __all__ = [
     "solve",
     "solve_brute_force",
     "solve_optimal",
+    "solve_stack",
     # metric
     "MetricKind",
     "LospaResult",
     "lospa",
-    "lospa_and_ospa",
     "ospa_no_cutoff",
     # labelled sets
     "LabelledTarget",

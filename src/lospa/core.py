@@ -30,7 +30,8 @@ __all__ = [
     "Permutation",
     "CostMatrix",
     "build_cost_matrix",
-    "add_label_penalty",
+    "localization_costs",
+    "add_label_penalty_inplace",
 ]
 
 
@@ -126,9 +127,15 @@ class BaseMetric:
             return "euclidean"
         return f"pnorm:{self.q:g}"
 
-    def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """All-pairs distances between rows of two (t, n_x) arrays."""
-        return cdist(xs, ys, "minkowski", p=self.q)
+    def pairwise(
+        self, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """All-pairs distances between rows of two (t, n_x) arrays.
+
+        ``out``, if given, is a C-contiguous float64 (t, t) array that
+        receives the distances and is returned.
+        """
+        return cdist(xs, ys, "minkowski", p=self.q, out=out)
 
 
 def parse_base_metric(text: str) -> BaseMetric:
@@ -233,20 +240,57 @@ class CostMatrix:
         return self.entries.shape[0]
 
 
-def _costs(localization: np.ndarray, params: LospaParams) -> CostMatrix:
-    """Cost matrix of ``localization + alpha**p`` off the diagonal."""
+def _overflow(params: LospaParams) -> InvalidCost:
+    # Every input is finite and nonnegative, so a non-finite cost is overflow.
+    return InvalidCost(
+        f"cost b(a, b)**p + alpha**p overflows the float64 range "
+        f"(p={params.p:g}, alpha={params.alpha:g})"
+    )
+
+
+def localization_costs(
+    xs: np.ndarray, ys: np.ndarray, params: LospaParams, out: np.ndarray
+) -> np.ndarray:
+    """Fill an (n, t, t) stack with ``b(xs[i][j], ys[i][k])**p`` and return it.
+
+    ``xs`` and ``ys`` are (n, t, n_x) stacks of validated states; each pair
+    is one ``base_metric.pairwise`` call written straight into ``out[i]``.
+    ``params.alpha`` only appears in the overflow message.
+
+    Raises:
+        InvalidCost: if a cost overflows the float64 range.
+    """
+    for x, y, o in zip(xs, ys, out):
+        params.base_metric.pairwise(x, y, out=o)
+    with np.errstate(over="ignore"):
+        out **= params.p
+    if not math.isfinite(out.max()):
+        raise _overflow(params)
+    return out
+
+
+def add_label_penalty_inplace(C: np.ndarray, params: LospaParams) -> np.ndarray:
+    """Add ``alpha**p`` to every off-diagonal entry of an (n, t, t) stack.
+
+    Applied to localization costs this gives the labelled costs of
+    :func:`build_cost_matrix` exactly: each off-diagonal entry is one sum,
+    and the diagonal is restored untouched.
+
+    Raises:
+        InvalidCost: if a cost overflows the float64 range.
+    """
     try:
-        with np.errstate(over="ignore"):
-            if params.alpha > 0.0:
-                t = localization.shape[0]
-                localization = localization + params.alpha**params.p * (1.0 - np.eye(t))
-        return CostMatrix(localization)
-    except (OverflowError, InvalidCost):
-        # Every input is finite and nonnegative, so only overflow gets here.
-        raise InvalidCost(
-            f"cost b(a, b)**p + alpha**p overflows the float64 range "
-            f"(p={params.p:g}, alpha={params.alpha:g})"
-        ) from None
+        penalty = params.alpha**params.p
+    except OverflowError:
+        raise _overflow(params) from None
+    diagonal = C.diagonal(axis1=1, axis2=2).copy()
+    with np.errstate(over="ignore"):
+        C += penalty
+    rows = np.arange(C.shape[1])
+    C[:, rows, rows] = diagonal
+    if not math.isfinite(C.max()):
+        raise _overflow(params)
+    return C
 
 
 def build_cost_matrix(
@@ -271,15 +315,8 @@ def build_cost_matrix(
         raise DimensionMismatch(
             f"state dimensions differ: first is {A.state_dim}, second is {B.state_dim}"
         )
-    with np.errstate(over="ignore"):
-        localization = params.base_metric.pairwise(A.points, B.points) ** params.p
-    return _costs(localization, params)
-
-
-def add_label_penalty(C: CostMatrix, params: LospaParams) -> CostMatrix:
-    """Add ``alpha**p`` to every off-diagonal entry of a localization matrix.
-
-    Applied to ``build_cost_matrix(A, B, params.with_alpha(0))`` this gives
-    ``build_cost_matrix(A, B, params)`` exactly.  Raises InvalidCost on overflow.
-    """
-    return _costs(C.entries, params)
+    t = A.num_targets
+    C = localization_costs(A.points[None], B.points[None], params, np.empty((1, t, t)))
+    if params.alpha > 0.0:
+        add_label_penalty_inplace(C, params)
+    return CostMatrix(C[0])

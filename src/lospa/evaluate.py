@@ -15,11 +15,19 @@ import json
 import math
 from dataclasses import dataclass
 
-from .assignment import SolverBackend
+import numpy as np
+
+from .assignment import SolverBackend, solve_stack
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
-from .core import LospaParams, MultiTargetState, Permutation
+from .core import (
+    LospaParams,
+    MultiTargetState,
+    Permutation,
+    add_label_penalty_inplace,
+    localization_costs,
+)
 from .errors import DimensionMismatch, TimestepMismatch
-from .metric import lospa_and_ospa
+from .metric import _distance
 from .trajectory import Trajectory
 
 __all__ = ["StepResult", "EvalReport", "evaluate", "DemoCell", "DemoReport", "run_demo"]
@@ -30,6 +38,10 @@ _AGGREGATES_NOTE = (
 )
 
 _FLOAT_SPEC = f".{REPORT_FLOAT_DIGITS}g"
+
+# Cost entries evaluated per chunk of steps (2 MiB of float64): about ten
+# thousand steps at t = 5, a single step from t = 512 on.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -158,22 +170,22 @@ def evaluate(
             f"estimate is {estimate.state_dim}-dimensional"
         )
 
-    steps = []
-    for k, truth_points, est_points in zip(
-        truth.time_indices.tolist(), truth.states, estimate.states
-    ):
-        labelled, unlabelled = lospa_and_ospa(
-            MultiTargetState(est_points), MultiTargetState(truth_points), params, backend
+    perms, lospa_totals, ospa_totals = _solve_steps(
+        estimate.states, truth.states, params, backend
+    )
+    t, p = truth.num_targets, params.p
+    steps = [
+        StepResult(
+            k=k,
+            lospa=_distance(lospa_total, t, p),
+            ospa=_distance(ospa_total, t, p),
+            optimal_perm=Permutation(perm),
         )
-        steps.append(
-            StepResult(
-                k=k,
-                lospa=labelled.distance,
-                ospa=unlabelled.distance,
-                optimal_perm=labelled.optimal_perm,
-            )
+        for k, lospa_total, ospa_total, perm in zip(
+            truth.time_indices.tolist(), lospa_totals.tolist(), ospa_totals.tolist(),
+            perms.tolist(),
         )
-
+    ]
     lospa_values = [s.lospa for s in steps]
     ospa_values = [s.ospa for s in steps]
     return EvalReport(
@@ -184,6 +196,35 @@ def evaluate(
         params_echo=params,
         backend=backend,
     )
+
+
+def _solve_steps(
+    est: np.ndarray, truth: np.ndarray, params: LospaParams, backend: SolverBackend
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labelled pairings and labelled/unlabelled totals for every step.
+
+    Works through the (T, t, n_x) state stacks a chunk of steps at a time,
+    in one reused (chunk, t, t) buffer: the localization costs are solved
+    as they are, then the labelling penalty is added in place and the same
+    buffer is solved again.  At alpha = 0 the two solves coincide.
+    """
+    T, t, _ = est.shape
+    size = max(1, _CHUNK_ENTRIES // (t * t))
+    buffer = np.empty((min(size, T), t, t))
+    perms = np.empty((T, t), dtype=np.intp)
+    lospa_totals = np.empty(T)
+    ospa_totals = np.empty(T)
+    ospa_params = params.with_alpha(0.0)
+    for lo in range(0, T, size):
+        hi = min(lo + size, T)
+        C = localization_costs(est[lo:hi], truth[lo:hi], ospa_params, buffer[: hi - lo])
+        perms[lo:hi], ospa_totals[lo:hi] = solve_stack(C, backend)
+        if params.alpha > 0.0:
+            add_label_penalty_inplace(C, params)
+            perms[lo:hi], lospa_totals[lo:hi] = solve_stack(C, backend)
+        else:
+            lospa_totals[lo:hi] = ospa_totals[lo:hi]
+    return perms, lospa_totals, ospa_totals
 
 
 # --- built-in demo ---------------------------------------------------------

@@ -18,16 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .assignment import AssignmentSolution, SolverBackend, solve
-from .core import (
-    BaseMetric,
-    LospaParams,
-    MultiTargetState,
-    Permutation,
-    add_label_penalty,
-    build_cost_matrix,
-)
+from .core import BaseMetric, LospaParams, MultiTargetState, Permutation, build_cost_matrix
 
-__all__ = ["MetricKind", "LospaResult", "lospa", "lospa_and_ospa", "ospa_no_cutoff"]
+__all__ = ["MetricKind", "LospaResult", "lospa", "ospa_no_cutoff"]
 
 
 class MetricKind(Enum):
@@ -79,32 +72,16 @@ def lospa(
     return _result(solve(build_cost_matrix(A, B, params), backend), A.num_targets, params)
 
 
-def lospa_and_ospa(
-    A: MultiTargetState,
-    B: MultiTargetState,
-    params: LospaParams,
-    backend: SolverBackend = SolverBackend.OPTIMAL,
-) -> tuple[LospaResult, LospaResult]:
-    """:func:`lospa` at ``params`` and at alpha = 0, from one cost build.
-
-    The localization matrix ``b(a_j, b_k)**p`` is built once and solved as
-    is, then with the labelling penalty added.  Returns ``(labelled,
-    unlabelled)``, each equal to the separate :func:`lospa` call.
-    """
-    t = A.num_targets
-    ospa_params = params.with_alpha(0.0)
-    localization = build_cost_matrix(A, B, ospa_params)
-    unlabelled = _result(solve(localization, backend), t, ospa_params)
-    if params.alpha == 0.0:
-        return unlabelled, unlabelled
-    labelled = solve(add_label_penalty(localization, params), backend)
-    return _result(labelled, t, params), unlabelled
+def _distance(total_cost: float, t: int, p: float) -> float:
+    """The distance from the minimum total cost over t targets."""
+    return (total_cost / t) ** (1.0 / p)
 
 
 def _result(sol: AssignmentSolution, t: int, params: LospaParams) -> LospaResult:
-    distance = (sol.total_cost / t) ** (1.0 / params.p)
     kind = MetricKind.LOSPA if params.alpha > 0.0 else MetricKind.OSPA
-    return LospaResult(distance=distance, optimal_perm=sol.perm, kind=kind)
+    return LospaResult(
+        distance=_distance(sol.total_cost, t, params.p), optimal_perm=sol.perm, kind=kind
+    )
 
 
 def ospa_no_cutoff(

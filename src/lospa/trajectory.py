@@ -5,7 +5,8 @@ per-target dimension n_x constant across every timestep:
 
 * CSV — header ``k,x_1_1,...,x_1_nx,x_2_1,...,x_t_nx`` and one row per
   timestep.  t and n_x are declared either by a sidecar comment line
-  ``# t=<int> nx=<int>`` (at most one, anywhere before the first data row),
+  ``# t=<int> nx=<int>`` (at most one, anywhere before the first data row;
+  any other comment starting ``# t=`` is an error),
   by explicit arguments, or, failing both, are inferred from the
   ``x_<target>_<component>`` header names.  Explicit arguments win over the
   sidecar, which wins over inference.  Data rows hold plain ASCII numbers:
@@ -35,6 +36,8 @@ from .errors import InconsistentShape, NonFiniteValue, ParseError
 __all__ = ["Trajectory", "load_trajectory"]
 
 _SIDECAR_RE = re.compile(r"^#\s*t\s*=\s*(\d+)\s+nx\s*=\s*(\d+)\s*$", re.ASCII)
+# A comment that starts like the sidecar must be one.
+_SIDECAR_START_RE = re.compile(r"^#\s*t\s*=", re.ASCII)
 _COLUMN_RE = re.compile(r"^x_(\d+)_(\d+)$", re.ASCII)
 
 
@@ -130,11 +133,16 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
     rows: list[tuple[int, list[str]]] = []  # (1-based line number, fields)
     with open(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            text = line.strip()
+            if not text:
                 continue
-            if line.lstrip().startswith("#"):
-                m = _SIDECAR_RE.match(line.strip())
-                if m:
+            if text.startswith("#"):
+                if _SIDECAR_START_RE.match(text):
+                    m = _SIDECAR_RE.match(text)
+                    if m is None:
+                        raise ParseError(
+                            f"{path}: line {lineno}: malformed '# t=.. nx=..' line {text!r}"
+                        )
                     if sidecar is not None or len(rows) > 1:
                         raise ParseError(
                             f"{path}: line {lineno}: the '# t=.. nx=..' line may appear "

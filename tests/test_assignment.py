@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from lospa import (
     CapExceeded,
@@ -14,6 +15,7 @@ from lospa import (
     solve,
     solve_brute_force,
     solve_optimal,
+    solve_stack,
 )
 from lospa.constants import REL_TOL_BACKENDS
 
@@ -116,6 +118,50 @@ class TestOptimal:
         C = rng.uniform(0.0, 5.0, size=(7, 7))
         sol = solve_optimal(C)
         assert sol.total_cost == path_cost(C, sol.perm)
+
+
+class TestCertificate:
+    """Row minima that form a permutation, each strict, skip LSAP; ties do not."""
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            build_cost_matrix(mts([0, 0, 5]), mts([0, 1, 5]), LospaParams(alpha=0.0)).entries,
+            np.zeros((4, 4)),
+            build_cost_matrix(
+                mts([[1, 1], [3, 1], [1, 3]]),
+                mts([[0, 1], [2, 1], [2, 3]]),
+                LospaParams(p=1.0, alpha=0.0),
+            ).entries,
+        ],
+        ids=["duplicate_targets", "all_zero", "integer_grid"],
+    )
+    def test_ties_fall_back_to_lsap(self, lsap_calls, C):
+        sol = solve_optimal(C)
+        assert len(lsap_calls) == 1
+        assert tuple(sol.perm) == tuple(linear_sum_assignment(C)[1])
+
+    def test_certified_matrix_skips_lsap(self, lsap_calls):
+        C = np.array([[5.0, 1.0, 9.0], [0.5, 4.0, 3.0], [7.0, 8.0, 2.0]])
+        assert tuple(solve_optimal(C).perm) == (1, 0, 2)
+        assert lsap_calls == []
+
+    @pytest.mark.parametrize("backend", list(SolverBackend))
+    def test_stack_matches_single_solves_bit_for_bit(self, backend):
+        rng = np.random.default_rng(17)
+        stack = rng.uniform(0.0, 5.0, size=(6, 5, 5))
+        stack[::2] += 10.0 * (1.0 - np.eye(5))  # every other matrix is certified
+        perms, totals = solve_stack(stack, backend)
+        for C, perm, total in zip(stack, perms, totals):
+            sol = solve(C, backend)
+            assert tuple(perm) == tuple(sol.perm)
+            assert total == sol.total_cost == path_cost(C, sol.perm)
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(InvalidCost):
+            solve_stack(np.zeros((2, 3)), SolverBackend.OPTIMAL)
+        with pytest.raises(InvalidCost):
+            solve_stack(np.zeros((1, 2, 3)), SolverBackend.OPTIMAL)
 
 
 class TestSolveDispatch:

@@ -14,10 +14,10 @@ from lospa import (
     MultiTargetState,
     NonFiniteValue,
     Permutation,
-    add_label_penalty,
     build_cost_matrix,
     parse_base_metric,
 )
+from lospa.core import add_label_penalty_inplace
 
 from helpers import mts, qnorm_dist
 
@@ -262,6 +262,10 @@ class TestBuildCostMatrix:
         rng = np.random.default_rng(11)
         A, B = mts(rng.normal(size=(5, 2)).tolist()), mts(rng.normal(size=(5, 2)).tolist())
         params = LospaParams(p=3.0, alpha=0.7, base_metric=BaseMetric.pnorm(1.5))
-        localization = build_cost_matrix(A, B, params.with_alpha(0.0))
-        direct = build_cost_matrix(A, B, params)
-        assert np.array_equal(add_label_penalty(localization, params).entries, direct.entries)
+        localization = build_cost_matrix(A, B, params.with_alpha(0.0)).entries
+        direct = build_cost_matrix(A, B, params).entries
+        stack = add_label_penalty_inplace(np.stack([localization] * 2), params)
+        # One sum per entry: the same bits as adding alpha**p off the diagonal.
+        expected = localization + params.alpha**params.p * (1.0 - np.eye(5))
+        assert np.array_equal(direct, expected)
+        assert np.array_equal(stack, [expected, expected])

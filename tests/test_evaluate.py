@@ -1,11 +1,13 @@
 """Per-timestep evaluation, report rendering, and the built-in demo."""
 
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from lospa import (
+    BaseMetric,
     DimensionMismatch,
     LospaParams,
     SolverBackend,
@@ -14,9 +16,12 @@ from lospa import (
     evaluate,
     run_demo,
 )
-from lospa.constants import REL_TOL_EXACT
+from lospa.constants import REL_TOL_BACKENDS, REL_TOL_EXACT
 
-from helpers import ESTIMATE_POINTS, TRUTH_POINTS, expected_table_value, mts
+from helpers import ESTIMATE_POINTS, TRUTH_POINTS, enum_lospa, expected_table_value, mts
+
+# The package re-exports the function under the module's name.
+evaluate_module = importlib.import_module("lospa.evaluate")
 
 
 def trajectory(ks, point_lists):
@@ -104,6 +109,72 @@ class TestEvaluate:
             backend=SolverBackend.BRUTE_FORCE,
         )
         assert report.backend is SolverBackend.BRUTE_FORCE
+
+
+def near_and_random(rng, T, t, nx=2):
+    """(truth, near, random) state stacks of shape (T, t, n_x).
+
+    ``near`` is the truth plus small noise with one target pair swapped at
+    every other step (targets sit 10 apart); ``random`` is independent of
+    the truth.
+    """
+    grid = 10.0 * np.arange(t)[:, None] + np.zeros((1, nx))
+    truth = grid + rng.normal(scale=0.5, size=(T, t, nx))
+    near = truth + rng.normal(scale=0.1, size=(T, t, nx))
+    if t > 1:
+        for i in range(0, T, 2):
+            j, k = rng.choice(t, size=2, replace=False)
+            near[i, [j, k]] = near[i, [k, j]]
+    random = rng.uniform(-5.0, 10.0 * t, size=(T, t, nx))
+    return truth, near, random
+
+
+class TestChunkedEvaluation:
+    """Chunks of steps with certified or LSAP solves, against both referees."""
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 8])
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.6])
+    def test_every_step_matches_oracle_and_brute_force(self, monkeypatch, t, q, alpha):
+        # Chunks of 2 steps, so T = 5 ends on a partial chunk.
+        monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 2 * t * t)
+        T = 5
+        truth, near, random = near_and_random(np.random.default_rng(61 + t), T, t)
+        params = LospaParams(p=1.5, alpha=alpha, base_metric=BaseMetric.pnorm(q))
+        ks = range(T)
+        for est in (near, random):
+            truth_traj, est_traj = Trajectory(ks, truth), Trajectory(ks, est)
+            report = evaluate(truth_traj, est_traj, params)
+            brute = evaluate(truth_traj, est_traj, params, SolverBackend.BRUTE_FORCE)
+            for step, ref, A, B in zip(report.per_step, brute.per_step, est, truth):
+                A, B = A.tolist(), B.tolist()
+                assert step.lospa == pytest.approx(enum_lospa(A, B, 1.5, alpha, q), rel=1e-10)
+                assert step.ospa == pytest.approx(enum_lospa(A, B, 1.5, 0.0, q), rel=1e-10)
+                assert step.lospa == pytest.approx(ref.lospa, rel=REL_TOL_BACKENDS)
+                assert step.ospa == pytest.approx(ref.ospa, rel=REL_TOL_BACKENDS)
+                assert step.optimal_perm == ref.optimal_perm
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.6])
+    def test_near_correct_steps_never_reach_lsap(self, lsap_calls, alpha):
+        truth, near, _ = near_and_random(np.random.default_rng(63), 40, 6)
+        report = evaluate(Trajectory(range(40), truth), Trajectory(range(40), near),
+                          LospaParams(alpha=alpha))
+        assert lsap_calls == []
+        assert sum(not step.optimal_perm.is_identity for step in report.per_step) == 20
+
+    @pytest.mark.parametrize("alpha, solves_per_step", [(0.0, 1), (0.6, 2)])
+    def test_random_steps_reach_lsap_once_per_solve(self, lsap_calls, alpha, solves_per_step):
+        truth, _, random = near_and_random(np.random.default_rng(64), 40, 20)
+        evaluate(Trajectory(range(40), truth), Trajectory(range(40), random),
+                 LospaParams(alpha=alpha))
+        assert len(lsap_calls) == solves_per_step * 40
+
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch):
+        truth, near, _ = near_and_random(np.random.default_rng(62), 7, 3)
+        args = (Trajectory(range(7), truth), Trajectory(range(7), near), LospaParams(alpha=0.6))
+        whole = evaluate(*args).to_json()
+        monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 1)
+        assert evaluate(*args).to_json() == whole
 
 
 class TestReportJson:

@@ -16,10 +16,12 @@ from lospa import (
     DimensionMismatch,
     LospaParams,
     MetricKind,
+    MultiTargetState,
     SolverBackend,
+    Trajectory,
     build_cost_matrix,
+    evaluate,
     lospa,
-    lospa_and_ospa,
     ospa_no_cutoff,
     path_cost,
 )
@@ -110,15 +112,19 @@ def test_reported_permutation_reproduces_distance():
 @pytest.mark.parametrize("backend", list(SolverBackend))
 @pytest.mark.parametrize("alpha", [0.0, 0.6])
 def test_lospa_and_ospa_equal_separate_calls(backend, alpha):
+    # evaluate's lospa and ospa columns come from one cost build per step.
     rng = np.random.default_rng(23)
     for _ in range(25):
         t = int(rng.integers(1, 7))
-        A = mts(rng.uniform(-5, 5, size=(t, 2)).tolist())
-        B = mts(rng.uniform(-5, 5, size=(t, 2)).tolist())
+        est, truth = rng.uniform(-5, 5, size=(2, 3, t, 2))
         params = LospaParams(p=1.5, alpha=alpha)
-        labelled, unlabelled = lospa_and_ospa(A, B, params, backend)
-        assert labelled == lospa(A, B, params, backend=backend)
-        assert unlabelled == lospa(A, B, params.with_alpha(0.0), backend=backend)
+        report = evaluate(Trajectory(range(3), truth), Trajectory(range(3), est), params, backend)
+        for step, A, B in zip(report.per_step, est, truth):
+            A, B = MultiTargetState(A), MultiTargetState(B)
+            labelled = lospa(A, B, params, backend=backend)
+            unlabelled = lospa(A, B, params.with_alpha(0.0), backend=backend)
+            assert (step.lospa, step.optimal_perm) == (labelled.distance, labelled.optimal_perm)
+            assert step.ospa == unlabelled.distance
 
 
 def test_kind_tag():

@@ -82,6 +82,15 @@ class TestCsv:
             load_trajectory(path, "csv")
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("line", ["# t=1, nx=2", "# t=1 nx=2 extra", "#t = one nx=2"])
+    def test_malformed_sidecar_rejected(self, tmp_path, line):
+        # Read as a plain comment, this line would leave two 1-D targets.
+        path = tmp_path / "traj.csv"
+        path.write_text(f"{line}\nk,x_1_1,x_2_1\n0,1.0,2.0\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        assert "line 1" in str(err.value)
+
     @pytest.mark.parametrize(
         "row",
         ["0,1_0", "0,1_0.5", "0,\u0663", "1_0,1.0", "0,1.0\u00a0"],
