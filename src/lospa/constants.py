@@ -16,9 +16,9 @@ REL_TOL_BACKENDS = 1e-10
 # Absolute slack for the triangle inequality and for the built-in demo gate.
 ABS_TOL_TRIANGLE = 1e-9
 
-# Exhaustive enumeration visits t! permutations; above this many targets the
-# brute-force solver refuses and points at the optimal backend.  A caller's
-# cap may lower this limit but not raise it.
+# The brute-force solver may visit all t! permutations when little can be
+# pruned; above this many targets it refuses and points at the optimal
+# backend.  A caller's cap may lower this limit but not raise it.
 DEFAULT_BRUTE_CAP = 8
 
 # Floats in report files are serialized with this many significant digits so

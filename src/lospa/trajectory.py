@@ -107,15 +107,21 @@ def _trajectory(path: Path, ks: list[int], states: np.ndarray, records: list[str
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _infer_shape_from_header(names: list[str]) -> tuple[int, int]:
-    """Recover (t, n_x) from ``x_<target>_<component>`` column names."""
+def _infer_shape_from_header(names: list[str], where: str) -> tuple[int, int]:
+    """Recover (t, n_x) from ``x_<target>_<component>`` column names.
+
+    ``where`` names the file and the header line in error messages.
+    """
+    hint = "(declare them via '# t=.. nx=..' or flags)"
+    if not names:
+        raise ParseError(f"{where}: cannot infer t and nx: the header has no target columns {hint}")
     pairs = []
     for name in names:
         m = _COLUMN_RE.match(name.strip())
         if m is None:
             raise ParseError(
-                f"cannot infer t and nx: column {name!r} is not of the form "
-                f"'x_<target>_<component>' (declare them via '# t=.. nx=..' or flags)"
+                f"{where}: cannot infer t and nx: column {name!r} is not of the form "
+                f"'x_<target>_<component>' {hint}"
             )
         pairs.append((int(m.group(1)), int(m.group(2))))
     t = max(i for i, _ in pairs)
@@ -123,16 +129,28 @@ def _infer_shape_from_header(names: list[str]) -> tuple[int, int]:
     expected = [(i, j) for i in range(1, t + 1) for j in range(1, nx + 1)]
     if pairs != expected:
         raise ParseError(
-            f"header names do not enumerate x_1_1..x_{t}_{nx} in order"
+            f"{where}: header names do not enumerate x_1_1..x_{t}_{nx} in order"
         )
     return t, nx
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def _utf8_lines(path: Path, fh):
+    """The lines of ``fh``; bytes that are not UTF-8 raise a ParseError naming ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
     sidecar: tuple[int, int] | None = None
     rows: list[tuple[int, list[str]]] = []  # (1-based line number, fields)
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, line in enumerate(_utf8_lines(path, fh), start=1):
             text = line.strip()
             if not text:
                 continue
@@ -169,7 +187,7 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
     if nx is None and sidecar is not None:
         nx = sidecar[1]
     if t is None or nx is None:
-        inf_t, inf_nx = _infer_shape_from_header(header[1:])
+        inf_t, inf_nx = _infer_shape_from_header(header[1:], f"{path}: line {header_line}")
         t = inf_t if t is None else t
         nx = inf_nx if nx is None else nx
     if t < 1 or nx < 1:
@@ -222,11 +240,13 @@ def _require_int(value, where: str) -> int:
 
 
 def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
 
@@ -246,8 +266,9 @@ def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
     if not isinstance(doc["steps"], list) or not doc["steps"]:
         raise ParseError(f"{path}: 'steps' must be a non-empty array")
 
-    ks = []
-    states = np.empty((len(doc["steps"]), t, nx))
+    # Stacked only after every step has shown its shape, so that a t or nx
+    # far larger than the file holds is a shape error, not an allocation.
+    ks, states = [], []
     for i, step in enumerate(doc["steps"]):
         where = f"{path}: steps[{i}]"
         if not isinstance(step, dict) or "k" not in step or "targets" not in step:
@@ -265,8 +286,8 @@ def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
         bad = [v for row in step["targets"] for v in row if type(v) not in (int, float)]
         if bad:
             raise ParseError(f"{where}: target entry {bad[0]!r} is not a JSON number")
-        states[i] = targets
-    return _trajectory(path, ks, states, [f"steps[{i}]" for i in range(len(ks))])
+        states.append(targets)
+    return _trajectory(path, ks, np.array(states), [f"steps[{i}]" for i in range(len(ks))])
 
 
 def load_trajectory(

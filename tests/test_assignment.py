@@ -1,9 +1,12 @@
 """Brute-force oracle and polynomial solver for the pairing minimization."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy.optimize import linear_sum_assignment
 
+from lospa import assignment
 from lospa import (
     CapExceeded,
     CostMatrix,
@@ -82,6 +85,76 @@ class TestBruteForce:
         C = rng.uniform(0.0, 5.0, size=(6, 6))
         sol = solve_brute_force(C)
         assert sol.total_cost == path_cost(C, sol.perm)
+
+
+@st.composite
+def tie_heavy_stacks(draw):
+    """(n, t, t) stacks, t = 1..8, built to tie: entries in {0, 1, 2},
+    equal matrices, repeated rows, and leading or trailing rows raised by
+    1e16, next to which 0 and 1 round to the same total."""
+    t = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["grid", "equal", "duplicate_rows", "absorbed"]))
+    row = st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=t, max_size=t)
+    stack = []
+    for _ in range(n):
+        if kind == "equal":
+            C = np.full((t, t), draw(st.sampled_from([0.0, 0.1, 1.0, 1e16])))
+        else:
+            C = np.array(draw(st.lists(row, min_size=t, max_size=t)))
+        if kind == "duplicate_rows":
+            C = C[draw(st.lists(st.integers(0, t - 1), min_size=t, max_size=t))]
+        if kind == "absorbed":
+            k = draw(st.integers(0, t - 1))
+            C[draw(st.sampled_from([slice(k, None), slice(None, k + 1)]))] += 1e16
+        stack.append(C)
+    return np.array(stack)
+
+
+class TestPrunedEnumeration:
+    """The pruned brute-force backend against literal enumeration of all t!."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(tie_heavy_stacks(), st.sampled_from([None, 8]))
+    # (0, 1, 2) and (1, 0, 2) both total 1e16, although the first two rows
+    # of (0, 1) sum to 1 and of (1, 0) to 0.
+    @example(np.array([[[1.0, 0.0, 1e16], [0.0, 0.0, 1e16], [1e16, 1e16, 1e16]]]), None)
+    # Every pairing totals 1e16: 1e16 + 1 rounds down, but 1e16 + (1 + 1)
+    # does not, so a bound summed in another order would prune them all.
+    @example(np.array([[[1e16, 1e16, 1e16], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]]), None)
+    def test_matches_pure_python_enumeration(self, stack, frontier_entries):
+        with pytest.MonkeyPatch.context() as mp:
+            if frontier_entries is not None:  # split the frontier into many pieces
+                mp.setattr(assignment, "_FRONTIER_ENTRIES", frontier_entries)
+            perms, totals = solve_stack(stack, SolverBackend.BRUTE_FORCE)
+        for C, perm, total in zip(stack, perms, totals):
+            expected_total, expected_perm = enum_min_assignment(C.tolist())
+            assert tuple(perm) == expected_perm
+            assert total == expected_total
+
+    @pytest.mark.parametrize("pairing", ["identity", "worst"])
+    def test_upper_bound_pairing_does_not_change_the_result(self, monkeypatch, pairing):
+        rng = np.random.default_rng(18)
+        stack = np.concatenate(
+            [
+                rng.uniform(0.0, 1.0, size=(4, 7, 7)),
+                rng.integers(0, 3, size=(4, 7, 7)).astype(float),
+                rng.choice([0.0, 1.0, 1e16], size=(4, 7, 7)),
+            ]
+        )
+        expected = solve_stack(stack, SolverBackend.BRUTE_FORCE)
+
+        def loose(C):
+            if pairing == "identity":
+                return np.tile(np.arange(C.shape[1]), (len(C), 1))
+            return np.array([linear_sum_assignment(c, maximize=True)[1] for c in C])
+
+        monkeypatch.setattr(assignment, "_upper_bound_pairing", loose)
+        perms, totals = solve_stack(stack, SolverBackend.BRUTE_FORCE)
+        assert (perms == expected[0]).all()
+        assert (totals == expected[1]).all()
+        for C, perm, total in zip(stack, perms, totals):
+            assert (total, tuple(perm)) == enum_min_assignment(C.tolist())
 
 
 class TestOptimal:

@@ -159,6 +159,14 @@ class TestComputeErrors:
         assert err.count("\n") == 1
         assert "overflow" in err and "NaN" not in err
 
+    def test_shape_flags_far_larger_than_the_file(self, tmp_path, capsys):
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps(json_doc([(0, [[1.0]])], t=1, nx=1)))
+        assert run_compute(one, one, "--t", "100000", "--nx", "100000") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "steps[0]" in err and "(100000, 100000)" in err
+
     def test_missing_required_flag_is_usage_error(self, traj_files):
         truth, _ = traj_files
         with pytest.raises(SystemExit) as exc:

@@ -163,6 +163,14 @@ class TestCsv:
         with pytest.raises(ParseError):
             load_trajectory(path, "csv")
 
+    def test_header_without_target_columns(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# no shape declared\nk\n0\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        assert str(err.value).startswith(f"{path}: line 2: ")
+        assert "no target columns" in str(err.value)
+
 
 class TestJson:
     def test_basic(self, tmp_path):
@@ -242,6 +250,14 @@ class TestJson:
             load_trajectory(path, "json")
         assert "steps[0]" in str(err.value)
 
+    def test_declared_shape_far_larger_than_the_file(self, tmp_path):
+        # Checked against the first step before anything is allocated.
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps(json_doc([(0, [[1.0]])], t=1, nx=1)))
+        with pytest.raises(InconsistentShape) as err:
+            load_trajectory(path, "json", t=100_000, nx=100_000)
+        assert "steps[0]" in str(err.value)
+
     def test_nan_rejected(self, tmp_path):
         # json.dumps happily writes NaN; the loader must still refuse it.
         doc = json_doc([(0, [[float("nan")]])], t=1, nx=1)
@@ -303,6 +319,15 @@ class TestTrajectoryType:
             traj.states[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             traj.time_indices[0] = 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_utf8_input_names_the_file(tmp_path, fmt):
+    path = tmp_path / f"traj.{fmt}"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ParseError) as err:
+        load_trajectory(path, fmt)
+    assert str(err.value).startswith(f"{path}: not UTF-8 text")
 
 
 def test_unknown_format(tmp_path):
