@@ -2,7 +2,8 @@
 
 Each report case runs ``lospa-eval compute`` on committed truth/estimate
 files and compares the report with one frozen before the array-based core
-replaced the per-target objects.  Positions are distinct and displacements
+replaced the per-target objects (cases 1 and 2) or before the report
+became per-step columns (case 3).  Positions are distinct and displacements
 irregular, so no two pairings tie and the optimal permutation is unique.
 
 The demo case compares the whole stdout of ``lospa-eval demo`` with a copy
@@ -29,6 +30,14 @@ CASES = [
         "truth_3d.json", "est_3d.json",
         ["--p", "1", "--alpha", "0.5", "--metric", "pnorm:1", "--backend", "brute"],
         "report_3d_pnorm1_brute.json",
+    ),
+    # 2 targets at negative, non-consecutive k, one exact match (prints 0),
+    # displacements near 1e-6 (exponent-form floats), a swap at k=0; alpha=0
+    # echoes as 0 and one solve serves both columns.
+    (
+        "truth_2t_neg.csv", "est_2t_neg.csv",
+        ["--p", "1.5", "--alpha", "0", "--metric", "pnorm:3", "--backend", "optimal"],
+        "report_2t_pnorm3_alpha0.json",
     ),
 ]
 
