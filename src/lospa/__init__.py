@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     TimestepMismatch,
 )
-from .evaluate import DemoReport, EvalReport, StepResult, evaluate, run_demo
+from .evaluate import DemoReport, EvalReport, evaluate, run_demo
 from .labelled import LabelledSet, LabelledTarget, from_vector, lospa_sets, to_vector
 from .metric import LospaResult, MetricKind, lospa, ospa_no_cutoff
 from .trajectory import Trajectory, load_trajectory
@@ -75,7 +75,6 @@ __all__ = [
     # trajectories and evaluation
     "Trajectory",
     "load_trajectory",
-    "StepResult",
     "EvalReport",
     "evaluate",
     "DemoReport",

@@ -14,6 +14,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -39,6 +40,16 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int if it is an integer; bools, floats and strings raise."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +112,7 @@ class BaseMetric:
     """Per-target distance on the state space: Euclidean or a general q-norm.
 
     Any q >= 1 gives a valid metric; q = 2 is the Euclidean distance and the
-    default.  ``name`` only affects how the metric is spelled in reports.
+    default.  ``name`` is how reports spell the metric; "euclidean" needs q = 2.
     """
 
     q: float = 2.0
@@ -112,6 +123,8 @@ class BaseMetric:
             raise ValueError(f"q-norm exponent must satisfy q >= 1, got {self.q}")
         if self.name not in ("euclidean", "pnorm"):
             raise ValueError(f"unknown base metric name {self.name!r}")
+        if self.name == "euclidean" and self.q != 2.0:
+            raise ValueError(f"the euclidean base metric has q = 2, got q = {self.q:g}; use pnorm")
 
     @classmethod
     def euclidean(cls) -> "BaseMetric":
@@ -183,13 +196,13 @@ class Permutation:
 
     ``mapping[j] = k`` pairs position j of the first state with position k
     of the second.  Any sequence of integers, an index array included, is
-    converted to a tuple of ints.
+    stored as a tuple of ints; any other entry (a float, a bool) raises.
     """
 
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(int(v) for v in self.mapping)
+        mapping = tuple(_as_int(v, "a pairing entry") for v in self.mapping)
         t = len(mapping)
         if t < 1 or sorted(mapping) != list(range(t)):
             raise ValueError(f"not a permutation of 0..{t - 1}: {mapping}")

@@ -4,14 +4,14 @@ The distance itself is defined per timestep; the mean/max aggregates in the
 report are convenience summaries over timesteps, nothing more, and the report
 says so in its ``aggregates.note`` field.
 
-Report files are rendered deterministically: fixed key order, two-space
-indentation and floats printed with ``REPORT_FLOAT_DIGITS`` significant
-digits, so identical inputs produce byte-identical output.
+Report files are rendered from a fixed template in the layout of
+``json.dumps(indent=2)`` (which cannot pin float formatting itself), with
+floats printed to ``REPORT_FLOAT_DIGITS`` significant digits, so identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,110 +19,107 @@ import numpy as np
 
 from .assignment import SolverBackend, solve_stack
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
-from .core import (
-    LospaParams,
-    MultiTargetState,
-    Permutation,
-    add_label_penalty_inplace,
-    localization_costs,
-)
+from .core import LospaParams, add_label_penalty_inplace, localization_costs
 from .errors import DimensionMismatch, TimestepMismatch
 from .metric import _distance
 from .trajectory import Trajectory
 
-__all__ = ["StepResult", "EvalReport", "evaluate", "DemoCell", "DemoReport", "run_demo"]
-
-_AGGREGATES_NOTE = (
-    "mean/max are summaries over timesteps; the distance itself is defined "
-    "per timestep only"
-)
+__all__ = ["EvalReport", "evaluate", "DemoCell", "DemoReport", "run_demo"]
 
 _FLOAT_SPEC = f".{REPORT_FLOAT_DIGITS}g"
+
+# A report file; none of its strings needs JSON escapes.
+_REPORT = """\
+{{
+  "params_echo": {{
+    "p": {p:{f}},
+    "alpha": {alpha:{f}},
+    "base_metric": "{metric}"
+  }},
+  "backend": "{backend}",
+  "per_step": [
+{steps}
+  ],
+  "aggregates": {{
+    "mean_lospa": {mean_lospa:{f}},
+    "max_lospa": {max_lospa:{f}},
+    "mean_ospa": {mean_ospa:{f}},
+    "note": "mean/max are summaries over timesteps; the distance itself is defined per timestep only"
+  }}
+}}
+"""
+# One entry of "per_step"; entries are joined by ",\n".
+_STEP = """\
+    {{
+      "k": {k},
+      "lospa": {lospa:{f}},
+      "ospa": {ospa:{f}},
+      "optimal_perm": [
+        {perm}
+      ]
+    }}"""
 
 # Cost entries evaluated per chunk of steps (2 MiB of float64): about ten
 # thousand steps at t = 5, a single step from t = 512 on.
 _CHUNK_ENTRIES = 1 << 18
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """Distances at one timestep, plus the pairing that attained the labelled one."""
-
-    k: int
-    lospa: float
-    ospa: float
-    optimal_perm: Permutation
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Per-timestep distances with mean/max summaries and the parameters used."""
+    """Per-timestep distances as read-only columns, plus the parameters used.
 
-    per_step: tuple[StepResult, ...]
-    mean_lospa: float
-    max_lospa: float
-    mean_ospa: float
+    Row i of every column is time index ``k[i]``: ``lospa[i]`` is the labelled
+    distance there, ``ospa[i]`` its alpha = 0 counterpart, and ``perms[i, j]``
+    the truth position paired with estimate position j at the labelled optimum.
+    The constructor copies the columns into read-only int64 (``k``, ``perms``)
+    and float64 arrays, and is the one place that checks their shapes.
+    """
+
+    k: np.ndarray
+    lospa: np.ndarray
+    ospa: np.ndarray
+    perms: np.ndarray
     params_echo: LospaParams
     backend: SolverBackend
 
-    def to_json_dict(self) -> dict:
-        """Report as plain data, in the exact key order of the file format."""
-        return {
-            "params_echo": {
-                "p": float(self.params_echo.p),
-                "alpha": float(self.params_echo.alpha),
-                "base_metric": self.params_echo.base_metric.describe(),
-            },
-            "backend": self.backend.value,
-            "per_step": [
-                {
-                    "k": step.k,
-                    "lospa": step.lospa,
-                    "ospa": step.ospa,
-                    "optimal_perm": list(step.optimal_perm),
-                }
-                for step in self.per_step
-            ],
-            "aggregates": {
-                "mean_lospa": self.mean_lospa,
-                "max_lospa": self.max_lospa,
-                "mean_ospa": self.mean_ospa,
-                "note": _AGGREGATES_NOTE,
-            },
-        }
+    def __post_init__(self):
+        names = ("k", "lospa", "ospa", "perms")
+        for name, dtype in zip(names, (np.int64, float, float, np.int64)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        k, lospa, ospa, perms = shapes = [getattr(self, name).shape for name in names]
+        if len(perms) != 2 or perms[0] < 1 or not k == lospa == ospa == perms[:1]:
+            raise ValueError(f"report columns need shapes (T,) x 3 and (T, t), T >= 1: {shapes}")
+
+    # Python's left-to-right sums: np.mean sums pairwise, which can move the last bit.
+    @property
+    def mean_lospa(self) -> float:
+        return sum(self.lospa.tolist()) / len(self.lospa)
+
+    @property
+    def max_lospa(self) -> float:
+        return max(self.lospa.tolist())
+
+    @property
+    def mean_ospa(self) -> float:
+        return sum(self.ospa.tolist()) / len(self.ospa)
 
     def to_json(self) -> str:
         """Byte-deterministic JSON text (trailing newline included)."""
-        return _render(self.to_json_dict(), 0) + "\n"
-
-
-def _render(value, level: int) -> str:
-    # json.dumps cannot pin float formatting, so the few shapes a report
-    # contains are rendered by hand; layout matches json.dumps(indent=2).
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(key)}: {_render(val, level + 1)}"
-            for key, val in value.items()
+        f = _FLOAT_SPEC
+        steps = ",\n".join(
+            _STEP.format(k=k, lospa=lospa, ospa=ospa, perm=",\n        ".join(map(str, perm)), f=f)
+            for k, lospa, ospa, perm in zip(
+                self.k.tolist(), self.lospa.tolist(), self.ospa.tolist(), self.perms.tolist()
+            )
         )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_render(val, level + 1)}" for val in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, _FLOAT_SPEC)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot render {type(value).__name__} in a report")
+        echo = self.params_echo
+        return _REPORT.format(
+            p=float(echo.p), alpha=float(echo.alpha), metric=echo.base_metric.describe(),
+            backend=self.backend.value, steps=steps, mean_lospa=self.mean_lospa,
+            max_lospa=self.max_lospa, mean_ospa=self.mean_ospa, f=f,
+        )
 
 
 def evaluate(
@@ -170,29 +167,15 @@ def evaluate(
             f"estimate is {estimate.state_dim}-dimensional"
         )
 
-    perms, lospa_totals, ospa_totals = _solve_steps(
-        estimate.states, truth.states, params, backend
-    )
+    perms, lospa_totals, ospa_totals = _solve_steps(estimate.states, truth.states, params, backend)
+    # Python's float ** per value: numpy's vectorised power can differ in
+    # the last bit, and the report prints every bit.
     t, p = truth.num_targets, params.p
-    steps = [
-        StepResult(
-            k=k,
-            lospa=_distance(lospa_total, t, p),
-            ospa=_distance(ospa_total, t, p),
-            optimal_perm=Permutation(perm),
-        )
-        for k, lospa_total, ospa_total, perm in zip(
-            truth.time_indices.tolist(), lospa_totals.tolist(), ospa_totals.tolist(),
-            perms.tolist(),
-        )
-    ]
-    lospa_values = [s.lospa for s in steps]
-    ospa_values = [s.ospa for s in steps]
     return EvalReport(
-        per_step=tuple(steps),
-        mean_lospa=sum(lospa_values) / len(steps),
-        max_lospa=max(lospa_values),
-        mean_ospa=sum(ospa_values) / len(steps),
+        k=truth.time_indices,
+        lospa=[_distance(total, t, p) for total in lospa_totals.tolist()],
+        ospa=[_distance(total, t, p) for total in ospa_totals.tolist()],
+        perms=perms,
         params_echo=params,
         backend=backend,
     )
@@ -304,9 +287,8 @@ def run_demo(backend: SolverBackend = SolverBackend.OPTIMAL) -> DemoReport:
     stays 0.1 throughout.
     """
     ks = range(len(_DEMO_ESTIMATES))
-    truth = MultiTargetState.from_points(_DEMO_TRUTH).points
-    truth_traj = Trajectory(ks, [truth for _ in ks])
-    est_traj = Trajectory(ks, [MultiTargetState.from_points(e).points for e in _DEMO_ESTIMATES])
+    truth_traj = Trajectory(ks, np.array([_DEMO_TRUTH for _ in ks])[..., None])
+    est_traj = Trajectory(ks, np.array(_DEMO_ESTIMATES)[..., None])
     reports = tuple(
         evaluate(truth_traj, est_traj, LospaParams(p=2.0, alpha=alpha), backend=backend)
         for alpha in _DEMO_ALPHAS
@@ -316,14 +298,14 @@ def run_demo(backend: SolverBackend = SolverBackend.OPTIMAL) -> DemoReport:
             row=row,
             estimate=estimate,
             alpha=alpha,
-            computed=step.lospa,
+            computed=computed,
             expected=math.sqrt(0.1**2 + wrong * alpha**2 / 3.0),
         )
         for alpha, report in zip(_DEMO_ALPHAS, reports)
-        for row, (estimate, wrong, step) in enumerate(
-            zip(_DEMO_ESTIMATES, _DEMO_WRONG_PAIRINGS, report.per_step), start=1
+        for row, (estimate, wrong, computed) in enumerate(
+            zip(_DEMO_ESTIMATES, _DEMO_WRONG_PAIRINGS, report.lospa.tolist()), start=1
         )
     )
     # Each report's ospa column is the alpha = 0 distance of every estimate.
-    ospa_values = tuple(step.ospa for step in reports[0].per_step)
+    ospa_values = tuple(reports[0].ospa.tolist())
     return DemoReport(cells=cells, ospa_values=ospa_values, reports=reports)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LospaParams, MultiTargetState
+from .core import LospaParams, MultiTargetState, _as_int, _as_readonly
 from .errors import DimensionMismatch, DuplicateLabel, LabelMismatch
 from .metric import lospa
 
@@ -26,13 +26,14 @@ __all__ = ["LabelledTarget", "LabelledSet", "from_vector", "to_vector", "lospa_s
 
 @dataclass(frozen=True, eq=False)
 class LabelledTarget:
-    """A single target's state vector with its immutable label."""
+    """A target's state vector, copied read-only, and its integer label."""
 
     state: np.ndarray
     label: int
 
     def __post_init__(self):
-        object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "state", _as_readonly(self.state))
+        object.__setattr__(self, "label", _as_int(self.label, "a label"))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -92,14 +93,13 @@ def from_vector(X: MultiTargetState, labels: Sequence[int]) -> LabelledSet:
     Element j of the result carries state j of ``X`` and ``labels[j]``.
 
     Raises:
+        ValueError: if a label is not an integer.
         DimensionMismatch: if ``labels`` does not have one entry per target.
         DuplicateLabel: if two labels coincide.
     """
-    labels = [int(l) for l in labels]
+    labels = list(labels)
     if len(labels) != X.num_targets:
-        raise DimensionMismatch(
-            f"{X.num_targets} targets but {len(labels)} labels"
-        )
+        raise DimensionMismatch(f"{X.num_targets} targets but {len(labels)} labels")
     return LabelledSet(LabelledTarget(row, l) for row, l in zip(X.points, labels))
 
 
@@ -110,9 +110,10 @@ def to_vector(S: LabelledSet, label_order: Sequence[int]) -> MultiTargetState:
     result holds the state labelled ``label_order[j]``.
 
     Raises:
+        ValueError: if a label is not an integer.
         LabelMismatch: if ``label_order`` misses a label or names an unknown one.
     """
-    order = [int(l) for l in label_order]
+    order = [_as_int(l, "a label") for l in label_order]
     row_of = {label: j for j, label in enumerate(S.label_order)}
     unknown = [l for l in order if l not in row_of]
     if unknown:

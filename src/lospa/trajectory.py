@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _as_int
 from .errors import InconsistentShape, NonFiniteValue, ParseError
 
 __all__ = ["Trajectory", "load_trajectory"]
@@ -233,10 +234,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _require_int(value, where: str) -> int:
-    # bool is a subclass of int; floats and strings are never truncated.
-    if type(value) is not int:
-        raise ParseError(f"{where} must be an integer, got {value!r}")
-    return value
+    try:
+        return _as_int(value, where)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:

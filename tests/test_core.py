@@ -124,6 +124,13 @@ class TestBaseMetric:
         with pytest.raises(ValueError):
             BaseMetric.pnorm(0.5)
 
+    def test_euclidean_name_requires_q_2(self):
+        # It would compute the 3-norm but echo "euclidean" in reports.
+        with pytest.raises(ValueError, match="euclidean"):
+            BaseMetric(q=3.0)
+        assert BaseMetric(q=2.0) == BaseMetric.euclidean()
+        assert BaseMetric(q=3.0, name="pnorm").describe() == "pnorm:3"
+
     def test_pairwise_matches_distance(self):
         rng = np.random.default_rng(7)
         xs, ys = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))

@@ -9,6 +9,7 @@ import pytest
 from lospa import (
     BaseMetric,
     DimensionMismatch,
+    EvalReport,
     LospaParams,
     SolverBackend,
     TimestepMismatch,
@@ -39,22 +40,22 @@ class TestEvaluate:
     def test_first_row_constant_estimate(self):
         est = constant_trajectory(ESTIMATE_POINTS[0])
         report = evaluate(TRUTH_TRAJ, est, LospaParams(p=2.0, alpha=1.0))
-        assert len(report.per_step) == 3
-        for step in report.per_step:
-            assert step.lospa == pytest.approx(0.1, abs=1e-9)
-            assert step.ospa == pytest.approx(0.1, abs=1e-9)
+        assert len(report.k) == 3
+        for lospa, ospa in zip(report.lospa, report.ospa):
+            assert lospa == pytest.approx(0.1, abs=1e-9)
+            assert ospa == pytest.approx(0.1, abs=1e-9)
         assert report.mean_lospa == pytest.approx(0.1, abs=1e-9)
 
     def test_second_row_constant_estimate(self):
         est = constant_trajectory(ESTIMATE_POINTS[1])
         report = evaluate(TRUTH_TRAJ, est, LospaParams(p=2.0, alpha=1.0))
-        for step in report.per_step:
-            assert step.lospa == pytest.approx(expected_table_value(2, 1.0), abs=1e-9)
-            assert step.ospa == pytest.approx(0.1, abs=1e-9)
+        for lospa, ospa in zip(report.lospa, report.ospa):
+            assert lospa == pytest.approx(expected_table_value(2, 1.0), abs=1e-9)
+            assert ospa == pytest.approx(0.1, abs=1e-9)
 
     def test_identical_trajectories_give_zero(self):
         report = evaluate(TRUTH_TRAJ, TRUTH_TRAJ, LospaParams())
-        assert all(step.lospa == 0.0 and step.ospa == 0.0 for step in report.per_step)
+        assert np.all(report.lospa == 0.0) and np.all(report.ospa == 0.0)
         assert report.mean_lospa == 0.0
         assert report.max_lospa == 0.0
         assert report.mean_ospa == 0.0
@@ -63,7 +64,7 @@ class TestEvaluate:
         # Three different estimates as a single trajectory vs constant truth.
         est = trajectory(range(3), ESTIMATE_POINTS)
         report = evaluate(TRUTH_TRAJ, est, LospaParams(p=2.0, alpha=1.0))
-        values = [step.lospa for step in report.per_step]
+        values = report.lospa.tolist()
         assert report.mean_lospa == sum(values) / 3
         assert report.max_lospa == max(values)
         assert report.max_lospa == values[2]  # worst labelling last
@@ -98,8 +99,28 @@ class TestEvaluate:
                 Trajectory(range(4), steps_e),
                 LospaParams(p=2.0, alpha=1.0),
             )
-            for step in report.per_step:
-                assert step.ospa <= step.lospa + 1e-12
+            assert np.all(report.ospa <= report.lospa + 1e-12)
+
+    def test_columns_are_read_only(self):
+        report = evaluate(TRUTH_TRAJ, trajectory(range(3), ESTIMATE_POINTS), LospaParams())
+        columns = (report.k, report.lospa, report.ospa, report.perms)
+        assert [c.shape for c in columns] == [(3,), (3,), (3,), (3, 3)]
+        assert [c.dtype for c in columns] == [np.int64, np.float64, np.float64, np.int64]
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_report_copies_and_checks_its_columns(self):
+        k, values, perms = np.arange(2), np.array([0.5, 0.25]), np.array([[0, 1], [1, 0]])
+        report = EvalReport(k, values, values, perms, LospaParams(), SolverBackend.OPTIMAL)
+        values[0], perms[0, 0] = 9.0, 1
+        assert report.lospa.tolist() == [0.5, 0.25]
+        assert report.perms.tolist() == [[0, 1], [1, 0]]
+        assert (report.mean_lospa, report.max_lospa) == (0.375, 0.5)
+        for bad in ((k, values[:1], values, perms), (k, values, values, perms[0]),
+                    ([], [], [], np.empty((0, 2)))):
+            with pytest.raises(ValueError, match="report columns"):
+                EvalReport(*bad, LospaParams(), SolverBackend.OPTIMAL)
 
     def test_backend_choice_is_echoed(self):
         report = evaluate(
@@ -146,13 +167,13 @@ class TestChunkedEvaluation:
             truth_traj, est_traj = Trajectory(ks, truth), Trajectory(ks, est)
             report = evaluate(truth_traj, est_traj, params)
             brute = evaluate(truth_traj, est_traj, params, SolverBackend.BRUTE_FORCE)
-            for step, ref, A, B in zip(report.per_step, brute.per_step, est, truth):
-                A, B = A.tolist(), B.tolist()
-                assert step.lospa == pytest.approx(enum_lospa(A, B, 1.5, alpha, q), rel=1e-10)
-                assert step.ospa == pytest.approx(enum_lospa(A, B, 1.5, 0.0, q), rel=1e-10)
-                assert step.lospa == pytest.approx(ref.lospa, rel=REL_TOL_BACKENDS)
-                assert step.ospa == pytest.approx(ref.ospa, rel=REL_TOL_BACKENDS)
-                assert step.optimal_perm == ref.optimal_perm
+            for i, (A, B) in enumerate(zip(est.tolist(), truth.tolist())):
+                lospa, ospa = report.lospa[i], report.ospa[i]
+                assert lospa == pytest.approx(enum_lospa(A, B, 1.5, alpha, q), rel=1e-10)
+                assert ospa == pytest.approx(enum_lospa(A, B, 1.5, 0.0, q), rel=1e-10)
+                assert lospa == pytest.approx(brute.lospa[i], rel=REL_TOL_BACKENDS)
+                assert ospa == pytest.approx(brute.ospa[i], rel=REL_TOL_BACKENDS)
+                assert report.perms[i].tolist() == brute.perms[i].tolist()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.6])
     def test_near_correct_steps_never_reach_lsap(self, lsap_calls, alpha):
@@ -160,7 +181,7 @@ class TestChunkedEvaluation:
         report = evaluate(Trajectory(range(40), truth), Trajectory(range(40), near),
                           LospaParams(alpha=alpha))
         assert lsap_calls == []
-        assert sum(not step.optimal_perm.is_identity for step in report.per_step) == 20
+        assert np.any(report.perms != np.arange(6), axis=1).sum() == 20
 
     @pytest.mark.parametrize("alpha, solves_per_step", [(0.0, 1), (0.6, 2)])
     def test_random_steps_reach_lsap_once_per_solve(self, lsap_calls, alpha, solves_per_step):
@@ -211,7 +232,7 @@ class TestReportJson:
     def test_round_trip_is_lossless(self):
         report = self.make_report()
         doc = json.loads(report.to_json())
-        assert doc["per_step"][2]["lospa"] == report.per_step[2].lospa
+        assert doc["per_step"][2]["lospa"] == report.lospa[2]
         assert doc["aggregates"]["mean_lospa"] == report.mean_lospa
 
     def test_byte_determinism(self):
@@ -243,7 +264,7 @@ class TestDemo:
         demo = run_demo()
         assert [r.params_echo.alpha for r in demo.reports] == [0.1, 1.0]
         for report in demo.reports:
-            assert len(report.per_step) == 3
+            assert len(report.k) == 3
 
     def test_demo_render_mentions_gate(self):
         text = run_demo().render()

@@ -1,10 +1,13 @@
 """Explicit-label sets and their equivalence with the vector-based distance."""
 
+import re
+
 import numpy as np
 import pytest
 
 from lospa import (
     DimensionMismatch,
+    Permutation,
     DuplicateLabel,
     LabelMismatch,
     LabelledSet,
@@ -59,6 +62,34 @@ class TestLabelledSet:
         a, b = from_vector(A, [1, 2]), from_vector(B, [1, 2])
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_target_state_is_a_private_read_only_copy(self):
+        coords = np.array([1.0, 2.0])
+        target = LabelledTarget(coords, 4)
+        coords[0] = 99.0
+        assert target.state.tolist() == [1.0, 2.0]
+        assert target.state.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            target.state[1] = 0.0
+
+
+NOT_INTEGERS = [0.5, 0.9, 1.0, True, np.True_, "7", np.float64(2.0), None]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: LabelledTarget(np.array([0.0]), bad),
+        lambda bad: from_vector(mts([0, 1]), [3, bad]),
+        lambda bad: to_vector(lset([(0.0, 3), (1.0, 4)]), [bad, 4]),
+        lambda bad: Permutation((bad, 0)),
+    ],
+    ids=["LabelledTarget", "from_vector", "to_vector", "Permutation"],
+)
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_labels_and_pairings_must_be_integers(build, bad):
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+        build(bad)
 
 
 class TestVectorRoundTrip:

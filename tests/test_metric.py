@@ -17,6 +17,7 @@ from lospa import (
     LospaParams,
     MetricKind,
     MultiTargetState,
+    Permutation,
     SolverBackend,
     Trajectory,
     build_cost_matrix,
@@ -119,12 +120,14 @@ def test_lospa_and_ospa_equal_separate_calls(backend, alpha):
         est, truth = rng.uniform(-5, 5, size=(2, 3, t, 2))
         params = LospaParams(p=1.5, alpha=alpha)
         report = evaluate(Trajectory(range(3), truth), Trajectory(range(3), est), params, backend)
-        for step, A, B in zip(report.per_step, est, truth):
+        for i, (A, B) in enumerate(zip(est, truth)):
             A, B = MultiTargetState(A), MultiTargetState(B)
             labelled = lospa(A, B, params, backend=backend)
             unlabelled = lospa(A, B, params.with_alpha(0.0), backend=backend)
-            assert (step.lospa, step.optimal_perm) == (labelled.distance, labelled.optimal_perm)
-            assert step.ospa == unlabelled.distance
+            assert (report.lospa[i], Permutation(report.perms[i])) == (
+                labelled.distance, labelled.optimal_perm
+            )
+            assert report.ospa[i] == unlabelled.distance
 
 
 def test_kind_tag():
