@@ -19,11 +19,11 @@ concurrent calls need no synchronization.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .constants import DEFAULT_BRUTE_CAP
 from .core import CostMatrix, Permutation
@@ -37,6 +37,17 @@ __all__ = [
     "solve",
     "solve_stack",
 ]
+
+
+def __getattr__(name: str):
+    # scipy.optimize is most of a cold start, and certified stacks never
+    # need it: it is imported by the first lookup of the solver's name.
+    if name == "linear_sum_assignment":
+        from scipy.optimize import linear_sum_assignment
+
+        globals()[name] = linear_sum_assignment
+        return linear_sum_assignment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverBackend(Enum):
@@ -191,7 +202,8 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
 
     The optimal backend returns a matrix's row argmins as they are when
     they form a permutation and every row minimum is strict; every other
-    matrix, ties included, goes to ``linear_sum_assignment``.
+    matrix, ties included, goes to scipy's ``linear_sum_assignment``, which
+    is imported only when a stack first needs it.
 
     The brute-force backend extends prefixes one row at a time, for all
     matrices at once, summing each left to right exactly as
@@ -229,8 +241,12 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         perms = _enumerate(C)
     elif backend is SolverBackend.OPTIMAL:
         perms = C.argmin(axis=2)
-        for i in np.flatnonzero(~_certified(C, perms)):
-            perms[i] = linear_sum_assignment(C[i])[1]
+        uncertified = np.flatnonzero(~_certified(C, perms))
+        if len(uncertified):
+            # Through the module, so that the first lookup imports the solver.
+            lsap = sys.modules[__name__].linear_sum_assignment
+            for i in uncertified:
+                perms[i] = lsap(C[i])[1]
     else:
         raise ValueError(f"unknown solver backend {backend!r}")
     return perms, _totals(C, perms)

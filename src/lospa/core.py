@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, InvalidCost, NonFiniteValue
 
@@ -148,6 +147,10 @@ class BaseMetric:
         ``out``, if given, is a C-contiguous float64 (t, t) array that
         receives the distances and is returned.
         """
+        # Imported here: scipy is most of a cold start, and small stacks are
+        # built without it (see localization_costs).
+        from scipy.spatial.distance import cdist
+
         return cdist(xs, ys, "minkowski", p=self.q, out=out)
 
 
@@ -261,21 +264,50 @@ def _overflow(params: LospaParams) -> InvalidCost:
     )
 
 
+# Largest t whose stacks localization_costs builds in numpy; beyond it one
+# cdist call per matrix is faster (1.3-1.5x at t = 24, about 2x at t = 32).
+_NUMPY_BUILD_MAX_T = 16
+
+
+def _minkowski_stack(xs: np.ndarray, ys: np.ndarray, q: float, out: np.ndarray) -> None:
+    """``cdist(x, y, "minkowski", p=q)`` for every pair of a stack, q in {1, 2}.
+
+    Components are added left to right, as cdist adds them, and q = 2 takes
+    one square root at the end, so each entry equals cdist's bit for bit.
+    """
+    out.fill(0.0)
+    for c in range(xs.shape[2]):
+        d = xs[:, :, None, c] - ys[:, None, :, c]
+        if q == 2.0:
+            d *= d
+        else:
+            np.abs(d, out=d)
+        out += d
+    if q == 2.0:
+        np.sqrt(out, out=out)
+
+
 def localization_costs(
     xs: np.ndarray, ys: np.ndarray, params: LospaParams, out: np.ndarray
 ) -> np.ndarray:
     """Fill an (n, t, t) stack with ``b(xs[i][j], ys[i][k])**p`` and return it.
 
-    ``xs`` and ``ys`` are (n, t, n_x) stacks of validated states; each pair
-    is one ``base_metric.pairwise`` call written straight into ``out[i]``.
-    ``params.alpha`` only appears in the overflow message.
+    ``xs`` and ``ys`` are (n, t, n_x) stacks of validated states.  For
+    q in {1, 2} and t <= 16 the whole stack is built in numpy at once;
+    otherwise each pair is one ``base_metric.pairwise`` call written
+    straight into ``out[i]``.  Both give the same bits.  ``params.alpha``
+    only appears in the overflow message.
 
     Raises:
         InvalidCost: if a cost overflows the float64 range.
     """
-    for x, y, o in zip(xs, ys, out):
-        params.base_metric.pairwise(x, y, out=o)
+    q = params.base_metric.q
     with np.errstate(over="ignore"):
+        if q in (1.0, 2.0) and xs.shape[1] <= _NUMPY_BUILD_MAX_T:
+            _minkowski_stack(xs, ys, q, out)
+        else:
+            for x, y, o in zip(xs, ys, out):
+                params.base_metric.pairwise(x, y, out=o)
         out **= params.p
     if not math.isfinite(out.max()):
         raise _overflow(params)

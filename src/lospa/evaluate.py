@@ -197,10 +197,9 @@ def _solve_steps(
     perms = np.empty((T, t), dtype=np.intp)
     lospa_totals = np.empty(T)
     ospa_totals = np.empty(T)
-    ospa_params = params.with_alpha(0.0)
     for lo in range(0, T, size):
         hi = min(lo + size, T)
-        C = localization_costs(est[lo:hi], truth[lo:hi], ospa_params, buffer[: hi - lo])
+        C = localization_costs(est[lo:hi], truth[lo:hi], params, buffer[: hi - lo])
         perms[lo:hi], ospa_totals[lo:hi] = solve_stack(C, backend)
         if params.alpha > 0.0:
             add_label_penalty_inplace(C, params)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lospa import __version__
@@ -190,6 +191,13 @@ class TestVersionCommand:
         assert capsys.readouterr().out.strip() == f"lospa {__version__}"
 
 
+def source_tree_env():
+    """Environment whose PYTHONPATH puts this checkout's ``src`` first."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def console_script(name):
     """Command and environment that run a declared console script.
 
@@ -208,10 +216,8 @@ def console_script(name):
     )
     assert declared, f"{name} is not declared in pyproject.toml"
     module, func = declared.groups()
-    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
-    return [sys.executable, "-c", code], env
+    return [sys.executable, "-c", code], source_tree_env()
 
 
 class TestInstalledEntryPoints:
@@ -255,3 +261,90 @@ class TestInstalledEntryPoints:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# Runs the CLI in a fresh interpreter, then prints, as the last line of
+# stdout, the scipy modules imported by then.
+_MAIN_THEN_SCIPY_MODULES = """\
+import json, sys
+from lospa.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+def run_fresh(*argv):
+    """Exit status, stderr and imported scipy modules of one fresh CLI run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_SCIPY_MODULES, *map(str, argv)],
+        capture_output=True, text=True, timeout=60, env=source_tree_env(),
+    )
+    return proc.returncode, proc.stderr, json.loads(proc.stdout.splitlines()[-1])
+
+
+def write_trajectories(tmp_path, estimate, t, nx, T=40, seed=0):
+    """Truth and estimate CSV files; the estimate is "near" or "random".
+
+    A near estimate is the truth plus noise of 0.1 on targets hundreds of
+    units apart, with one pair swapped at every third step, so every
+    optimal pairing is certified by its row minima.
+    """
+    rng = np.random.default_rng(seed)
+    truth = rng.uniform(0.0, 1000.0, size=(T, t, nx))
+    if estimate == "near":
+        est = truth + rng.normal(0.0, 0.1, size=truth.shape)
+        est[::3, [0, 1]] = est[::3, [1, 0]]
+    else:
+        est = rng.uniform(0.0, 1000.0, size=truth.shape)
+    paths = tmp_path / "truth.csv", tmp_path / "est.csv"
+    for path, states in zip(paths, (truth, est)):
+        path.write_text(csv_text(list(enumerate(states.tolist())), t=t, nx=nx))
+    return paths
+
+
+def compute_args(truth, est, out, metric="euclidean", backend="optimal", p="2", alpha="1"):
+    return [
+        "compute", "--truth", truth, "--est", est, "--out", out, "--p", p,
+        "--alpha", alpha, "--metric", metric, "--backend", backend,
+    ]
+
+
+class TestScipyOnDemand:
+    """scipy is imported only for cdist or for a matrix that fails the certificate."""
+
+    def test_version_and_demo(self):
+        for command in ("version", "demo"):
+            assert run_fresh(command) == (0, "", [])
+
+    def test_near_correct_t5(self, tmp_path):
+        truth, est = write_trajectories(tmp_path, "near", t=5, nx=2)
+        assert run_fresh(*compute_args(truth, est, tmp_path / "r.json")) == (0, "", [])
+
+    def test_brute_pnorm1_t8(self, tmp_path):
+        truth, est = write_trajectories(tmp_path, "near", t=8, nx=3)
+        args = compute_args(
+            truth, est, tmp_path / "r.json", metric="pnorm:1", backend="brute", p="1",
+            alpha="0.5",
+        )
+        assert run_fresh(*args) == (0, "", [])
+
+    def test_random_t5_reaches_lsap_and_matches_brute(self, tmp_path):
+        truth, est = write_trajectories(tmp_path, "random", t=5, nx=2)
+        optimal, brute = tmp_path / "optimal.json", tmp_path / "brute.json"
+        code, err, modules = run_fresh(*compute_args(truth, est, optimal))
+        assert (code, err) == (0, "")
+        assert "scipy.optimize" in modules
+        assert main(compute_args(str(truth), str(est), str(brute), backend="brute")) == 0
+        doc, ref = json.loads(optimal.read_text()), json.loads(brute.read_text())
+        assert (doc.pop("backend"), ref.pop("backend")) == ("optimal", "brute")
+        assert doc == ref
+
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+        truth.write_text(csv_text([(0, [[0.0], [1e200]])], t=2, nx=1))
+        est.write_text(csv_text([(0, [[1e200], [0.0]])], t=2, nx=1))
+        code, err, _ = run_fresh(*compute_args(truth, est, tmp_path / "r.json"))
+        assert code == 2
+        assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
+        assert "overflow" in err and "(p=2, alpha=1)" in err

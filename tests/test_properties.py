@@ -1,7 +1,9 @@
 """Randomized invariants: metric axioms, backend agreement, equivalences."""
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
+from scipy.spatial.distance import cdist
 
 from lospa import (
     BaseMetric,
@@ -15,6 +17,7 @@ from lospa import (
     ospa_no_cutoff,
 )
 from lospa.constants import ABS_TOL_TRIANGLE, REL_TOL_BACKENDS, REL_TOL_EXACT
+from lospa.core import localization_costs
 
 from helpers import enum_lospa, mts
 
@@ -128,3 +131,37 @@ def test_set_and_vector_domains_agree(data, params):
         tuple(LabelledTarget(el.state, 3 * el.label + offset * 7000) for el in B)
     )
     assert abs(lospa_sets(A2, B2, params) - d_vec) <= REL_TOL_EXACT * (1.0 + d_vec)
+
+
+@st.composite
+def state_stacks(draw):
+    """Two (n, t, n_x) stacks with coordinates of magnitude 1e-150 to 1e150.
+
+    t = 16 and t = 17 sit on both sides of the size up to which the costs
+    are built in numpy rather than by cdist.
+    """
+    n = draw(st.integers(1, 3))
+    t = draw(st.sampled_from([1, 2, 5, 16, 17]))
+    nx = draw(st.integers(1, 16))
+    low = draw(st.integers(-150, 148))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def stack():
+        sign = rng.choice([-1.0, 1.0], size=(n, t, nx))
+        return sign * 10.0 ** rng.uniform(low, low + 2, size=(n, t, nx))
+
+    return stack(), stack()
+
+
+@given(
+    state_stacks(),
+    st.sampled_from([BaseMetric.euclidean(), BaseMetric.pnorm(1.0), BaseMetric.pnorm(2.0)]),
+    st.sampled_from([1.0, 1.5, 2.0]),
+)
+def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p):
+    xs, ys = stacks
+    params = LospaParams(p=p, alpha=1.0, base_metric=metric)
+    n, t, _ = xs.shape
+    out = localization_costs(xs, ys, params, np.empty((n, t, t)))
+    ref = np.array([cdist(x, y, "minkowski", p=metric.q) for x, y in zip(xs, ys)]) ** p
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
