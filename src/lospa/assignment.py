@@ -19,7 +19,6 @@ concurrent calls need no synchronization.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,17 +36,6 @@ __all__ = [
     "solve",
     "solve_stack",
 ]
-
-
-def __getattr__(name: str):
-    # scipy.optimize is most of a cold start, and certified stacks never
-    # need it: it is imported by the first lookup of the solver's name.
-    if name == "linear_sum_assignment":
-        from scipy.optimize import linear_sum_assignment
-
-        globals()[name] = linear_sum_assignment
-        return linear_sum_assignment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverBackend(Enum):
@@ -243,10 +231,12 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         perms = C.argmin(axis=2)
         uncertified = np.flatnonzero(~_certified(C, perms))
         if len(uncertified):
-            # Through the module, so that the first lookup imports the solver.
-            lsap = sys.modules[__name__].linear_sum_assignment
+            # Imported here: scipy.optimize is most of a cold start, and
+            # certified stacks never need it.
+            from scipy.optimize import linear_sum_assignment
+
             for i in uncertified:
-                perms[i] = lsap(C[i])[1]
+                perms[i] = linear_sum_assignment(C[i])[1]
     else:
         raise ValueError(f"unknown solver backend {backend!r}")
     return perms, _totals(C, perms)

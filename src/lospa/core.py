@@ -338,6 +338,19 @@ def add_label_penalty_inplace(C: np.ndarray, params: LospaParams) -> np.ndarray:
     return C
 
 
+def _require_same_shape(a, b, names: tuple[str, str]) -> None:
+    """Raise DimensionMismatch unless ``a`` and ``b`` share t and n_x.
+
+    ``a`` and ``b`` are states or trajectories; ``names`` spell them in the message.
+    """
+    for what, x, y in (
+        ("target counts", a.num_targets, b.num_targets),
+        ("state dimensions", a.state_dim, b.state_dim),
+    ):
+        if x != y:
+            raise DimensionMismatch(f"{what} differ: {names[0]} has {x}, {names[1]} has {y}")
+
+
 def build_cost_matrix(
     A: MultiTargetState, B: MultiTargetState, params: LospaParams
 ) -> CostMatrix:
@@ -352,14 +365,7 @@ def build_cost_matrix(
             state dimension.
         InvalidCost: if a cost overflows the float64 range.
     """
-    if A.num_targets != B.num_targets:
-        raise DimensionMismatch(
-            f"target counts differ: first has {A.num_targets}, second has {B.num_targets}"
-        )
-    if A.state_dim != B.state_dim:
-        raise DimensionMismatch(
-            f"state dimensions differ: first is {A.state_dim}, second is {B.state_dim}"
-        )
+    _require_same_shape(A, B, ("first", "second"))
     t = A.num_targets
     C = localization_costs(A.points[None], B.points[None], params, np.empty((1, t, t)))
     if params.alpha > 0.0:

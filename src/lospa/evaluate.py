@@ -19,8 +19,8 @@ import numpy as np
 
 from .assignment import SolverBackend, solve_stack
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
-from .core import LospaParams, add_label_penalty_inplace, localization_costs
-from .errors import DimensionMismatch, TimestepMismatch
+from .core import LospaParams, _require_same_shape, add_label_penalty_inplace, localization_costs
+from .errors import TimestepMismatch
 from .metric import _distance
 from .trajectory import Trajectory
 
@@ -156,16 +156,7 @@ def evaluate(
             f"trajectories cover different time indices; missing from estimate: "
             f"{missing_in_est}, missing from truth: {missing_in_truth}"
         )
-    if truth.num_targets != estimate.num_targets:
-        raise DimensionMismatch(
-            f"target counts differ: truth has {truth.num_targets}, "
-            f"estimate has {estimate.num_targets}"
-        )
-    if truth.state_dim != estimate.state_dim:
-        raise DimensionMismatch(
-            f"state dimensions differ: truth is {truth.state_dim}-dimensional, "
-            f"estimate is {estimate.state_dim}-dimensional"
-        )
+    _require_same_shape(truth, estimate, ("truth", "estimate"))
 
     perms, lospa_totals, ospa_totals = _solve_steps(estimate.states, truth.states, params, backend)
     # Python's float ** per value: numpy's vectorised power can differ in

@@ -9,13 +9,15 @@ per-target dimension n_x constant across every timestep:
   any other comment starting ``# t=`` is an error),
   by explicit arguments, or, failing both, are inferred from the
   ``x_<target>_<component>`` header names.  Explicit arguments win over the
-  sidecar, which wins over inference.  Data rows hold plain ASCII numbers:
-  no ``_`` digit separators and no non-ASCII digits.
+  sidecar, which wins over inference.  The header and rows are split on
+  commas, with no quoting.  Data rows hold plain ASCII numbers: no ``_``
+  digit separators and no non-ASCII digits.
 * JSON — ``{"t": int, "nx": int, "steps": [{"k": int, "targets": [[...]]}]}``.
 
 Parsing is strict: malformed records name their line or record number, NaN
 or infinite cells are rejected, and any drift in t or n_x is an error
-(the metric is only defined for a fixed, known number of targets).  JSON
+(the metric is only defined for a fixed, known number of targets).  Both
+formats are UTF-8, and a leading byte order mark is ignored.  JSON
 integers are never coerced from floats, booleans or strings, target entries
 must be JSON numbers (not booleans, strings or null), and a repeated object
 key is an error.
@@ -23,9 +25,9 @@ key is an error.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,23 +137,24 @@ def _infer_shape_from_header(names: list[str], where: str) -> tuple[int, int]:
     return t, nx
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
+@contextmanager
+def _open_utf8(path: Path):
+    """``path`` opened as text; bytes that are not UTF-8 raise a ParseError naming it.
 
-
-def _utf8_lines(path: Path, fh):
-    """The lines of ``fh``; bytes that are not UTF-8 raise a ParseError naming ``path``."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    A leading byte order mark is skipped, as RFC 8259 allows a reader to do.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
     sidecar: tuple[int, int] | None = None
     rows: list[tuple[int, list[str]]] = []  # (1-based line number, fields)
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(_utf8_lines(path, fh), start=1):
+    with _open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
                 continue
@@ -174,7 +177,7 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
                 raise ParseError(
                     f"{path}: line {lineno}: data rows may hold only plain ASCII numbers"
                 )
-            rows.append((lineno, next(csv.reader([line]))))
+            rows.append((lineno, text.split(",")))
 
     if not rows:
         raise ParseError(f"{path}: no header row found")
@@ -241,15 +244,17 @@ def _require_int(value, where: str) -> int:
 
 
 def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+        except UnicodeDecodeError:
+            raise  # a ValueError, named by _open_utf8
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"{path}: nested too deeply") from None
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

@@ -168,6 +168,30 @@ class TestComputeErrors:
         assert err.count("\n") == 1
         assert "steps[0]" in err and "(100000, 100000)" in err
 
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("long_cell.csv", "# t=1 nx=1\nk,x_1_1\n0," + "9" * 131073 + "\n", "line 3"),
+            ("long_name.csv", "k," + "y" * 131073 + "\n0,1.0\n", "line 1"),
+            ("open_quote.csv", '# t=1 nx=1\nk,x_1_1\n0,"1.0\n', "line 3"),
+            ("quoted_cell.csv", '# t=1 nx=1\nk,x_1_1\n0,"1.5"\n', "line 3"),
+            ("quoted_header.csv", '"k","x_1_1"\n0,1.5\n', "line 1"),
+            ("deep.json", '{"t": 1, "nx": 1, "steps": [{"k": 0, "targets": '
+             + "[" * 1000 + "]" * 1000 + "}]}", "deep.json"),
+        ],
+        ids=["cell_131073_chars", "header_name_131073_chars", "unterminated_quote",
+             "quoted_number", "quoted_header", "json_1000_deep"],
+    )
+    def test_malformed_input_is_one_line_exit_2(self, traj_files, tmp_path, capsys,
+                                                name, text, where):
+        truth, _ = traj_files
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert run_compute(truth, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
+        assert str(bad) in err and where in err
+
     def test_missing_required_flag_is_usage_error(self, traj_files):
         truth, _ = traj_files
         with pytest.raises(SystemExit) as exc:

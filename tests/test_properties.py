@@ -9,9 +9,11 @@ from lospa import (
     BaseMetric,
     LabelledSet,
     LabelledTarget,
+    LospaError,
     LospaParams,
     SolverBackend,
     from_vector,
+    load_trajectory,
     lospa,
     lospa_sets,
     ospa_no_cutoff,
@@ -165,3 +167,29 @@ def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p):
     out = localization_costs(xs, ys, params, np.empty((n, t, t)))
     ref = np.array([cdist(x, y, "minkowski", p=metric.q) for x, y in zip(xs, ys)]) ** p
     assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+# Pieces of CSV and JSON text, and bytes that are not UTF-8, for the loader.
+_FRAGMENTS = [
+    piece.encode() if isinstance(piece, str) else piece
+    for piece in [
+        "0", "1", "9", "-2", "1.5", "1e5", "nan", ",", '"', "#", " ", "\n", "\r\n",
+        "# t=1 nx=1", "# t=2 nx=1", "k", "x_1_1", "x_2_1", "[", "]", "{", "}", ":",
+        '"t"', '"nx"', '"steps"', '"k"', '"targets"', "true", "null",
+        '{"t":1,"nx":1,"steps":[{"k":0,"targets":', "[[1.0]]}]}",
+        "\ufeff", "\x00", "\u00e9", "\u0663", "\u00a0", b"\xff", b"\xc3",
+        "[" * 500, "9" * 65537,  # two nest 1,000 deep, or make a 131,074-character cell
+    ]
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40), st.sampled_from(["csv", "json"]))
+def test_loader_raises_only_input_errors(tmp_path_factory, pieces, fmt):
+    """Any file either loads or raises an error that the CLI turns into exit 2."""
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{fmt}"
+    path.write_bytes(b"".join(pieces))
+    try:
+        load_trajectory(path, fmt)
+    except (LospaError, ValueError, OSError):
+        pass

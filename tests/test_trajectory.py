@@ -330,6 +330,19 @@ def test_non_utf8_input_names_the_file(tmp_path, fmt):
     assert str(err.value).startswith(f"{path}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_leading_bom_is_ignored(tmp_path, fmt):
+    text = (csv_text(STEPS, t=3, nx=1) if fmt == "csv"
+            else json.dumps(json_doc(STEPS, t=3, nx=1)))
+    plain = tmp_path / f"plain.{fmt}"
+    bom = tmp_path / f"bom.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    want, got = load_trajectory(plain, fmt), load_trajectory(bom, fmt)
+    assert np.array_equal(got.time_indices, want.time_indices)
+    assert np.array_equal(got.states, want.states)
+
+
 def test_unknown_format(tmp_path):
     path = tmp_path / "traj.xml"
     path.write_text("<traj/>")
