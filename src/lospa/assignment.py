@@ -19,6 +19,7 @@ concurrent calls need no synchronization.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -166,6 +167,26 @@ def _enumerate(C: np.ndarray) -> np.ndarray:
     return cols[order[first]].astype(np.intp)
 
 
+# Fewest entries per matrix for which LSAP runs in threads.  On scipy 1.17.1,
+# two threads took 0.53-0.75x the serial time from t = 288 up, 1.05-8x at t <= 200.
+_THREAD_MIN_ENTRIES = 1 << 17
+
+
+def _lsap_perms(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """LSAP pairings in order; two or more large matrices are solved in threads."""
+    # Imported here: scipy.optimize is most of a cold start, and certified stacks never need it.
+    from scipy.optimize import linear_sum_assignment
+
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may run on
+    workers = min(len(mats), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers < 2 or mats[0].size < _THREAD_MIN_ENTRIES:
+        return [linear_sum_assignment(M)[1] for M in mats]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:  # scipy releases the GIL while it solves
+        return [cols for _, cols in pool.map(linear_sum_assignment, mats)]
+
+
 def _certified(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Which matrices have row argmins ``perms`` that form the unique optimum.
 
@@ -191,7 +212,8 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
     The optimal backend returns a matrix's row argmins as they are when
     they form a permutation and every row minimum is strict; every other
     matrix, ties included, goes to scipy's ``linear_sum_assignment``, which
-    is imported only when a stack first needs it.
+    is imported only when a stack first needs it; two or more such matrices
+    of at least ``_THREAD_MIN_ENTRIES`` entries are solved in threads.
 
     The brute-force backend extends prefixes one row at a time, for all
     matrices at once, summing each left to right exactly as
@@ -231,12 +253,7 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         perms = C.argmin(axis=2)
         uncertified = np.flatnonzero(~_certified(C, perms))
         if len(uncertified):
-            # Imported here: scipy.optimize is most of a cold start, and
-            # certified stacks never need it.
-            from scipy.optimize import linear_sum_assignment
-
-            for i in uncertified:
-                perms[i] = linear_sum_assignment(C[i])[1]
+            perms[uncertified] = _lsap_perms([C[i] for i in uncertified])
     else:
         raise ValueError(f"unknown solver backend {backend!r}")
     return perms, _totals(C, perms)

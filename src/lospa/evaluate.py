@@ -59,8 +59,8 @@ _STEP = """\
       ]
     }}"""
 
-# Cost entries evaluated per chunk of steps (2 MiB of float64): about ten
-# thousand steps at t = 5, a single step from t = 512 on.
+# Cost entries per chunk buffer, both halves counted (2 MiB of float64): at
+# alpha > 0 about five thousand steps at t = 5, a single step from t = 257 on.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -138,8 +138,8 @@ def evaluate(
         truth: ground-truth trajectory.
         estimate: estimated trajectory over exactly the same time indices.
         params: distance parameters; the per-step ``ospa`` column is the same
-            computation with alpha forced to 0, solved on the same
-            localization matrix.
+            computation with alpha forced to 0, solved in one stack with the
+            labelled costs of the same steps.
         backend: assignment solver for every step.
 
     Raises:
@@ -177,27 +177,28 @@ def _solve_steps(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labelled pairings and labelled/unlabelled totals for every step.
 
-    Works through the (T, t, n_x) state stacks a chunk of steps at a time,
-    in one reused (chunk, t, t) buffer: the localization costs are solved
-    as they are, then the labelling penalty is added in place and the same
-    buffer is solved again.  At alpha = 0 the two solves coincide.
+    Works through the (T, t, n_x) state stacks a chunk of n steps at a time,
+    in one reused (2n, t, t) buffer and one ``solve_stack`` call: rows [:n]
+    hold the localization costs, rows [n:] the same plus the labelling
+    penalty.  At alpha = 0 the halves coincide, so only the first is built.
     """
     T, t, _ = est.shape
-    size = max(1, _CHUNK_ENTRIES // (t * t))
-    buffer = np.empty((min(size, T), t, t))
+    halves = 2 if params.alpha > 0.0 else 1
+    size = max(1, _CHUNK_ENTRIES // (halves * t * t))
+    buffer = np.empty((halves * min(size, T), t, t))
     perms = np.empty((T, t), dtype=np.intp)
-    lospa_totals = np.empty(T)
-    ospa_totals = np.empty(T)
+    totals = np.empty((2, T))  # unlabelled, labelled
     for lo in range(0, T, size):
-        hi = min(lo + size, T)
-        C = localization_costs(est[lo:hi], truth[lo:hi], params, buffer[: hi - lo])
-        perms[lo:hi], ospa_totals[lo:hi] = solve_stack(C, backend)
-        if params.alpha > 0.0:
-            add_label_penalty_inplace(C, params)
-            perms[lo:hi], lospa_totals[lo:hi] = solve_stack(C, backend)
-        else:
-            lospa_totals[lo:hi] = ospa_totals[lo:hi]
-    return perms, lospa_totals, ospa_totals
+        n = min(size, T - lo)
+        C = buffer[: halves * n]
+        localization_costs(est[lo : lo + n], truth[lo : lo + n], params, C[:n])
+        if halves == 2:
+            C[n:] = C[:n]
+            add_label_penalty_inplace(C[n:], params)
+        chunk_perms, chunk_totals = solve_stack(C, backend)
+        perms[lo : lo + n] = chunk_perms[-n:]
+        totals[:, lo : lo + n] = chunk_totals.reshape(halves, n)  # at alpha = 0, into both
+    return perms, totals[1], totals[0]
 
 
 # --- built-in demo ---------------------------------------------------------

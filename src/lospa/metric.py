@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .assignment import AssignmentSolution, SolverBackend, solve
+from .assignment import SolverBackend, solve
 from .core import BaseMetric, LospaParams, MultiTargetState, Permutation, build_cost_matrix
 
 __all__ = ["MetricKind", "LospaResult", "lospa", "ospa_no_cutoff"]
@@ -69,19 +69,14 @@ def lospa(
         DimensionMismatch: if A and B differ in target count or dimension.
         CapExceeded: brute-force backend with too many targets.
     """
-    return _result(solve(build_cost_matrix(A, B, params), backend), A.num_targets, params)
+    sol = solve(build_cost_matrix(A, B, params), backend)
+    kind = MetricKind.LOSPA if params.alpha > 0.0 else MetricKind.OSPA
+    return LospaResult(_distance(sol.total_cost, A.num_targets, params.p), sol.perm, kind)
 
 
 def _distance(total_cost: float, t: int, p: float) -> float:
     """The distance from the minimum total cost over t targets."""
     return (total_cost / t) ** (1.0 / p)
-
-
-def _result(sol: AssignmentSolution, t: int, params: LospaParams) -> LospaResult:
-    kind = MetricKind.LOSPA if params.alpha > 0.0 else MetricKind.OSPA
-    return LospaResult(
-        distance=_distance(sol.total_cost, t, params.p), optimal_perm=sol.perm, kind=kind
-    )
 
 
 def ospa_no_cutoff(

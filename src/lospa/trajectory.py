@@ -106,8 +106,18 @@ def _trajectory(path: Path, ks: list[int], states: np.ndarray, records: list[str
     except NonFiniteValue:
         i = int(np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0])
         raise NonFiniteValue(f"NaN or infinity in {path}: {records[i]}") from None
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except ValueError as exc:  # such as a time index outside int64
+        out = [r for k, r in zip(ks, records) if not -(2**63) <= k < 2**63]
+        why = f"{out[0]}: time index outside the int64 range" if out else exc
+        raise ParseError(f"{path}: {why}") from None
+
+
+def _digits(text: str, where: str) -> int:
+    """``int(text)`` of ASCII digits; more digits than int() reads is a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{where}: a number of {len(text)} digits is too large") from None
 
 
 def _infer_shape_from_header(names: list[str], where: str) -> tuple[int, int]:
@@ -126,10 +136,11 @@ def _infer_shape_from_header(names: list[str], where: str) -> tuple[int, int]:
                 f"{where}: cannot infer t and nx: column {name!r} is not of the form "
                 f"'x_<target>_<component>' {hint}"
             )
-        pairs.append((int(m.group(1)), int(m.group(2))))
+        pairs.append((_digits(m.group(1), where), _digits(m.group(2), where)))
     t = max(i for i, _ in pairs)
     nx = max(j for _, j in pairs)
-    expected = [(i, j) for i in range(1, t + 1) for j in range(1, nx + 1)]
+    # Counts first: t * nx may be far more columns than the header holds.
+    expected = t * nx == len(pairs) and [(i, j) for i in range(1, t + 1) for j in range(1, nx + 1)]
     if pairs != expected:
         raise ParseError(
             f"{where}: header names do not enumerate x_1_1..x_{t}_{nx} in order"
@@ -170,7 +181,8 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
                             f"{path}: line {lineno}: the '# t=.. nx=..' line may appear "
                             f"only once, before the first data row"
                         )
-                    sidecar = (int(m.group(1)), int(m.group(2)))
+                    where = f"{path}: line {lineno}"
+                    sidecar = (_digits(m.group(1), where), _digits(m.group(2), where))
                 continue
             # int() and float() would read '1_0' as 10 and non-ASCII digits too.
             if rows and ("_" in line or not line.isascii()):

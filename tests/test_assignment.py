@@ -1,5 +1,8 @@
 """Brute-force oracle and polynomial solver for the pairing minimization."""
 
+import concurrent.futures
+import os
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -235,6 +238,101 @@ class TestCertificate:
             solve_stack(np.zeros((2, 3)), SolverBackend.OPTIMAL)
         with pytest.raises(InvalidCost):
             solve_stack(np.zeros((1, 2, 3)), SolverBackend.OPTIMAL)
+
+
+def set_cpus(monkeypatch, n):
+    """Make the process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """List that receives the worker count of every thread pool constructed."""
+    real = concurrent.futures.ThreadPoolExecutor
+    made = []
+
+    def counted(workers):
+        made.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    return made
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was constructed")
+
+
+class TestThreadedLsap:
+    """LSAP solves of large uncertified matrices run in threads, with serial results."""
+
+    @pytest.mark.parametrize("t", [2, 5, 20])
+    def test_pool_matches_serial_bit_for_bit(self, monkeypatch, lsap_calls, pools, t):
+        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
+        stack = np.random.default_rng(70 + t).uniform(0.0, 5.0, size=(9, t, t))
+        stack[::3] += 10.0 * (1.0 - np.eye(t))  # every third matrix is certified
+        set_cpus(monkeypatch, 1)
+        serial = solve_stack(stack, SolverBackend.OPTIMAL)
+        serial_calls = len(lsap_calls)
+        assert pools == []
+        set_cpus(monkeypatch, 2)
+        pooled = solve_stack(stack, SolverBackend.OPTIMAL)
+        assert pools == [2]
+        assert len(lsap_calls) == 2 * serial_calls >= 2
+        for a, b in zip(serial, pooled):
+            assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+
+    def test_workers_capped_by_the_uncertified_count(self, monkeypatch, pools):
+        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
+        set_cpus(monkeypatch, 8)
+        stack = np.random.default_rng(74).uniform(0.0, 5.0, size=(3, 6, 6))
+        solve_stack(stack, SolverBackend.OPTIMAL)
+        assert pools == [3]
+
+    @pytest.mark.parametrize(
+        "cpus, min_entries, certified",
+        [(2, 1, [0, 2]), (1, 1, []), (2, 401, [])],
+        ids=["one_uncertified", "one_cpu", "below_threshold"],
+    )
+    def test_no_pool(self, monkeypatch, lsap_calls, cpus, min_entries, certified):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", min_entries)
+        set_cpus(monkeypatch, cpus)
+        stack = np.random.default_rng(72).uniform(0.0, 5.0, size=(3, 20, 20))
+        stack[certified] += 10.0 * (1.0 - np.eye(20))
+        perms, _ = solve_stack(stack, SolverBackend.OPTIMAL)
+        assert len(lsap_calls) == 3 - len(certified)
+        for C, perm in zip(stack, perms):
+            assert tuple(perm) == tuple(linear_sum_assignment(C)[1])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, pools, cpus):
+        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        solve_stack(np.random.default_rng(73).uniform(size=(4, 5, 5)), SolverBackend.OPTIMAL)
+        assert pools == ([2] if cpus == 2 else [])
+
+    def test_worker_exception_comes_out_unchanged(self, monkeypatch, pools):
+        import scipy.optimize
+
+        real = scipy.optimize.linear_sum_assignment
+        boom = ArithmeticError("raised by one worker")
+
+        def failing(C):
+            if C[0, 0] == -1.0:
+                raise boom
+            return real(C)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", failing)
+        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
+        set_cpus(monkeypatch, 2)
+        stack = np.random.default_rng(75).uniform(0.0, 5.0, size=(4, 6, 6))
+        stack[2, 0, 0] = -1.0
+        with pytest.raises(ArithmeticError) as err:
+            solve_stack(stack, SolverBackend.OPTIMAL)
+        assert err.value is boom
+        assert pools == [2]
 
 
 class TestSolveDispatch:

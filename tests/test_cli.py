@@ -178,9 +178,15 @@ class TestComputeErrors:
             ("quoted_header.csv", '"k","x_1_1"\n0,1.5\n', "line 1"),
             ("deep.json", '{"t": 1, "nx": 1, "steps": [{"k": 0, "targets": '
              + "[" * 1000 + "]" * 1000 + "}]}", "deep.json"),
+            ("long_index.csv", "k,x_" + "9" * 4301 + "_1\n0,1.0\n", "line 1"),
+            ("long_sidecar.csv", "# t=" + "9" * 4301 + " nx=1\nk,x_1_1\n0,1.0\n", "line 1"),
+            ("big_k.csv", f"# t=1 nx=1\nk,x_1_1\n{10**30},1.0\n", "line 3"),
+            ("big_k.json", f'{{"t": 1, "nx": 1, "steps": [{{"k": {10**30}, "targets": [[1.0]]}}]}}',
+             "steps[0]"),
         ],
         ids=["cell_131073_chars", "header_name_131073_chars", "unterminated_quote",
-             "quoted_number", "quoted_header", "json_1000_deep"],
+             "quoted_number", "quoted_header", "json_1000_deep", "header_index_4301_digits",
+             "sidecar_t_4301_digits", "csv_k_1e30", "json_k_1e30"],
     )
     def test_malformed_input_is_one_line_exit_2(self, traj_files, tmp_path, capsys,
                                                 name, text, where):

@@ -16,10 +16,13 @@ from lospa import (
     Trajectory,
     evaluate,
     run_demo,
+    solve_stack,
 )
 from lospa.constants import REL_TOL_BACKENDS, REL_TOL_EXACT
 
-from helpers import ESTIMATE_POINTS, TRUTH_POINTS, enum_lospa, expected_table_value, mts
+from helpers import (
+    ESTIMATE_POINTS, TRUTH_POINTS, enum_lospa, expected_table_value, mts, qnorm_dist
+)
 
 # The package re-exports the function under the module's name.
 evaluate_module = importlib.import_module("lospa.evaluate")
@@ -174,6 +177,45 @@ class TestChunkedEvaluation:
                 assert lospa == pytest.approx(brute.lospa[i], rel=REL_TOL_BACKENDS)
                 assert ospa == pytest.approx(brute.ospa[i], rel=REL_TOL_BACKENDS)
                 assert report.perms[i].tolist() == brute.perms[i].tolist()
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 8])
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    # At alpha = 20 the swaps of the near estimates cost more than they save,
+    # so the labelled pairing differs from the unlabelled one.
+    @pytest.mark.parametrize("alpha", [0.6, 20.0])
+    def test_stacked_halves_in_chunks_of_two(self, monkeypatch, t, q, alpha):
+        # One chunk holds both halves of 2 steps; T = 5 ends on a partial chunk.
+        monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 4 * t * t)
+        stacks = []
+
+        def counted(C, backend):
+            stacks.append(C.shape)
+            return solve_stack(C, backend)
+
+        monkeypatch.setattr(evaluate_module, "solve_stack", counted)
+        T = 5
+        truth, near, random = near_and_random(np.random.default_rng(65 + t), T, t)
+        params = LospaParams(p=1.5, alpha=alpha, base_metric=BaseMetric.pnorm(q))
+        for est in (near, random):
+            truth_traj, est_traj = Trajectory(range(T), truth), Trajectory(range(T), est)
+            reports = []
+            for backend in (SolverBackend.OPTIMAL, SolverBackend.BRUTE_FORCE):
+                stacks.clear()
+                reports.append(evaluate(truth_traj, est_traj, params, backend))
+                assert stacks == [(4, t, t), (4, t, t), (2, t, t)]
+            report, brute = reports
+            for i, (A, B) in enumerate(zip(est.tolist(), truth.tolist())):
+                lospa, ospa = report.lospa[i], report.ospa[i]
+                assert lospa == pytest.approx(enum_lospa(A, B, 1.5, alpha, q), rel=1e-10)
+                assert ospa == pytest.approx(enum_lospa(A, B, 1.5, 0.0, q), rel=1e-10)
+                assert lospa == pytest.approx(brute.lospa[i], rel=REL_TOL_BACKENDS)
+                assert ospa == pytest.approx(brute.ospa[i], rel=REL_TOL_BACKENDS)
+                assert report.perms[i].tolist() == brute.perms[i].tolist()
+                # The pairing reported is the labelled optimum.
+                perm = report.perms[i].tolist()
+                total = sum(qnorm_dist(A[j], B[perm[j]], q) ** 1.5 + alpha**1.5 * (j != perm[j])
+                            for j in range(t))
+                assert (total / t) ** (1 / 1.5) == pytest.approx(lospa, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.6])
     def test_near_correct_steps_never_reach_lsap(self, lsap_calls, alpha):

@@ -1,6 +1,7 @@
 """Trajectory file parsing: CSV and JSON layouts, strict validation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,53 @@ class TestCsv:
         assert str(err.value).startswith(f"{path}: line 2: ")
         assert "no target columns" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("k,x_" + "9" * 4301 + "_1\n0,1.0\n", "line 1"),
+            ("k,x_1_" + "9" * 4301 + "\n0,1.0\n", "line 1"),
+            ("# note\n# t=" + "9" * 4301 + " nx=1\nk,x_1_1\n0,1.0\n", "line 2"),
+            ("# t=1 nx=" + "9" * 4301 + "\nk,x_1_1\n0,1.0\n", "line 1"),
+        ],
+        ids=["header_target", "header_component", "sidecar_t", "sidecar_nx"],
+    )
+    def test_numbers_past_the_int_digit_limit(self, tmp_path, text, line):
+        # int() refuses more than 4,300 digits; the error must still name the line.
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        assert str(err.value).startswith(f"{path}: {line}: ")
+        assert len(str(err.value)) < 200
+
+    def test_header_inference_does_not_list_absent_columns(self, tmp_path):
+        # x_200000_1 claims 200,000 targets, but the header has two columns.
+        path = tmp_path / "traj.csv"
+        path.write_text("k,x_1_1,x_200000_1\n0,1.0,2.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                load_trajectory(path, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "line 1" in str(err.value)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [(["0,1.0", str(10**30) + ",2.0"], "line 4"),
+         (["-1,1.0", str(2**63) + ",2.0"], "line 4"),
+         ([str(-(2**63) - 1) + ",1.0"], "line 3")],
+        ids=["1e30", "2_pow_63_after_negative", "below_int64"],
+    )
+    def test_time_index_outside_int64_names_line(self, tmp_path, rows, line):
+        path = tmp_path / "traj.csv"
+        path.write_text("# t=1 nx=1\nk,x_1_1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        assert str(err.value) == f"{path}: {line}: time index outside the int64 range"
+
 
 class TestJson:
     def test_basic(self, tmp_path):
@@ -265,6 +313,18 @@ class TestJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(NonFiniteValue):
             load_trajectory(path, "json")
+
+    @pytest.mark.parametrize(
+        "ks, named",
+        [([0, 10**30], "steps[1]"), ([-1, 2**63], "steps[1]"), ([-(2**63) - 1], "steps[0]")],
+        ids=["1e30", "2_pow_63_after_negative", "below_int64"],
+    )
+    def test_time_index_outside_int64_names_step(self, tmp_path, ks, named):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps(json_doc([(k, [[1.0]]) for k in ks], t=1, nx=1)))
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "json")
+        assert str(err.value) == f"{path}: {named}: time index outside the int64 range"
 
     def test_time_must_increase(self, tmp_path):
         doc = json_doc([(3, [[1.0]]), (2, [[2.0]])], t=1, nx=1)
