@@ -206,14 +206,66 @@ def _certified(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _repair(C: np.ndarray, cols: np.ndarray) -> bool:
+    """Complete row argmins ``cols`` with one collision to the unique optimum, in place.
+
+    Applies, and returns True, only if the row minima are strict and one row
+    claims a column an earlier row claims.  Under duals u = row minima and
+    v = 0 the other claims are optimal, and one shortest augmenting path
+    (Jonker and Volgenant, Computing 1987, as in LSAP) completes them.  Unless
+    tight edges close an alternating cycle, the optimum is unique, so LSAP
+    returns it too; "tight" has a tolerance that only adds edges.
+    """
+    t = len(cols)
+    hits, u = np.bincount(cols, minlength=t), C[np.arange(t), cols]  # u: the row minima
+    if np.count_nonzero(hits == 0) != 1 or np.count_nonzero(C == u[:, None]) != t:
+        return False
+    (_, free), sink = np.flatnonzero(cols == hits.argmax()), hits.argmin()  # row, column
+    col4row = np.where(np.arange(t) == free, sink, cols)  # sink stands in, so row4col inverts it
+    row4col = np.argsort(col4row)
+    # Path lengths: tentative in dist, final in shortest; scanned columns are inf in closed.
+    dist, closed, shortest = np.full(t, np.inf), np.zeros(t), np.full(t, np.inf)
+    path, i, j, minval = np.empty(t, dtype=np.intp), free, -1, 0.0
+    while j != sink:  # Dijkstra over reduced costs C - u - v, with v = 0 until it ends
+        reduced = C[i] + (minval - u[i]) + closed
+        path[reduced < dist] = i
+        np.minimum(dist, reduced, out=dist)
+        j = dist.argmin()
+        minval = shortest[j] = dist[j]
+        dist[j] = closed[j] = np.inf
+        i = row4col[j]
+    v = np.minimum(shortest - minval, 0.0)  # 0 on the columns not scanned, and on sink
+    u -= v[col4row]
+    u[free] += minval
+    i = -1
+    while i != free:  # flip the path from the free column back to the free row
+        i = path[j]
+        col4row[i], j = j, col4row[i]
+    # No operand exceeds this scale, and each dual carries at most t path steps.
+    tol = 8 * t * np.finfo(float).eps * (C.max() + minval)
+    ci, cj = np.nonzero(C <= (u + 2 * tol)[:, None])  # v <= 0, so no tight edge is missed
+    keep = (C[ci, cj] - u[ci] - v[cj] <= tol) & (col4row[ci] != cj)
+    # Tight edge (i, j) leads from row i to j's new row.  Edges into rows with
+    # no way on are dropped until none or a cycle, another optimum, is left.
+    src, dst = ci[keep], np.argsort(col4row)[cj[keep]]
+    while len(src):
+        on = np.bincount(src, minlength=t)[dst] > 0
+        if on.all():
+            return False
+        src, dst = src[on], dst[on]
+    cols[:] = col4row
+    return True
+
+
 def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.ndarray]:
     """Solve every matrix of an ``(n, t, t)`` stack of cost matrices.
 
-    The optimal backend returns a matrix's row argmins as they are when
-    they form a permutation and every row minimum is strict; every other
-    matrix, ties included, goes to scipy's ``linear_sum_assignment``, which
-    is imported only when a stack first needs it; two or more such matrices
-    of at least ``_THREAD_MIN_ENTRIES`` entries are solved in threads.
+    The optimal backend keeps a matrix's row argmins when they form a
+    permutation of strict row minima, and :func:`_repair` completes them
+    after one collision, up to the first uncertified matrix it cannot
+    settle; every other matrix, ties included, goes to scipy's
+    ``linear_sum_assignment``, imported on first use; two or more of at
+    least ``_THREAD_MIN_ENTRIES`` entries are solved in threads.
 
     The brute-force backend extends prefixes one row at a time, for all
     matrices at once, summing each left to right exactly as
@@ -251,9 +303,12 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         perms = _enumerate(C)
     elif backend is SolverBackend.OPTIMAL:
         perms = C.argmin(axis=2)
-        uncertified = np.flatnonzero(~_certified(C, perms))
-        if len(uncertified):
-            perms[uncertified] = _lsap_perms([C[i] for i in uncertified])
+        lsap = np.flatnonzero(~_certified(C, perms))
+        # The repair is slower than LSAP and pays only while it spares LSAP's import.
+        while len(lsap) and _repair(C[lsap[0]], perms[lsap[0]]):
+            lsap = lsap[1:]
+        if len(lsap):
+            perms[lsap] = _lsap_perms([C[i] for i in lsap])
     else:
         raise ValueError(f"unknown solver backend {backend!r}")
     return perms, _totals(C, perms)

@@ -139,19 +139,13 @@ class BaseMetric:
             return "euclidean"
         return f"pnorm:{self.q:g}"
 
-    def pairwise(
-        self, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """All-pairs distances between rows of two (t, n_x) arrays.
-
-        ``out``, if given, is a C-contiguous float64 (t, t) array that
-        receives the distances and is returned.
-        """
-        # Imported here: scipy is most of a cold start, and small stacks are
-        # built without it (see localization_costs).
+    def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """All-pairs distances between rows of two (t, n_x) arrays."""
+        # Imported here: scipy is most of a cold start, and stacks with q in
+        # {1, 2} are built without it (see localization_costs).
         from scipy.spatial.distance import cdist
 
-        return cdist(xs, ys, "minkowski", p=self.q, out=out)
+        return cdist(xs, ys, "minkowski", p=self.q)
 
 
 def parse_base_metric(text: str) -> BaseMetric:
@@ -264,9 +258,8 @@ def _overflow(params: LospaParams) -> InvalidCost:
     )
 
 
-# Largest t whose stacks localization_costs builds in numpy; beyond it one
-# cdist call per matrix is faster (1.3-1.5x at t = 24, about 2x at t = 32).
-_NUMPY_BUILD_MAX_T = 16
+# Entries of _minkowski_stack's one temporary: whole matrices up to t = 256, rows beyond.
+_BUILD_BLOCK_ENTRIES = 1 << 16
 
 
 def _minkowski_stack(xs: np.ndarray, ys: np.ndarray, q: float, out: np.ndarray) -> None:
@@ -275,14 +268,19 @@ def _minkowski_stack(xs: np.ndarray, ys: np.ndarray, q: float, out: np.ndarray) 
     Components are added left to right, as cdist adds them, and q = 2 takes
     one square root at the end, so each entry equals cdist's bit for bit.
     """
+    n, t, nx = xs.shape
+    mats, rows = max(1, _BUILD_BLOCK_ENTRIES // t**2), min(t, max(1, _BUILD_BLOCK_ENTRIES // t))
+    scratch = np.empty(mats * rows * t)
     out.fill(0.0)
-    for c in range(xs.shape[2]):
-        d = xs[:, :, None, c] - ys[:, None, :, c]
-        if q == 2.0:
-            d *= d
-        else:
-            np.abs(d, out=d)
-        out += d
+    for i in range(0, n, mats):
+        for j in range(0, t, rows):
+            x, y = xs[i : i + mats, j : j + rows], ys[i : i + mats]
+            block = out[i : i + mats, j : j + rows]
+            d = scratch[: block.size].reshape(block.shape)
+            for c in range(nx):
+                np.subtract(x[:, :, None, c], y[:, None, :, c], out=d)
+                (np.square if q == 2.0 else np.abs)(d, out=d)
+                block += d
     if q == 2.0:
         np.sqrt(out, out=out)
 
@@ -293,21 +291,21 @@ def localization_costs(
     """Fill an (n, t, t) stack with ``b(xs[i][j], ys[i][k])**p`` and return it.
 
     ``xs`` and ``ys`` are (n, t, n_x) stacks of validated states.  For
-    q in {1, 2} and t <= 16 the whole stack is built in numpy at once;
-    otherwise each pair is one ``base_metric.pairwise`` call written
-    straight into ``out[i]``.  Both give the same bits.  ``params.alpha``
-    only appears in the overflow message.
+    q in {1, 2} the stack is built in numpy, a block of rows at a time;
+    for any other q each pair is one ``base_metric.pairwise`` call.  Both
+    give the same bits.  ``params.alpha`` only appears in the overflow
+    message.
 
     Raises:
         InvalidCost: if a cost overflows the float64 range.
     """
     q = params.base_metric.q
     with np.errstate(over="ignore"):
-        if q in (1.0, 2.0) and xs.shape[1] <= _NUMPY_BUILD_MAX_T:
+        if q in (1.0, 2.0):
             _minkowski_stack(xs, ys, q, out)
         else:
             for x, y, o in zip(xs, ys, out):
-                params.base_metric.pairwise(x, y, out=o)
+                o[...] = params.base_metric.pairwise(x, y)
         out **= params.p
     if not math.isfinite(out.max()):
         raise _overflow(params)

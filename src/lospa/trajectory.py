@@ -227,9 +227,10 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
         try:
             ks.append(int(fields[0]))
         except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}: time index {fields[0]!r} is not an integer"
-            ) from None
+            where, cell = f"{path}: line {lineno}", fields[0].strip()
+            if cell.isdigit() or cell[:1] in ("+", "-") and cell[1:].isdigit():
+                _digits(cell.lstrip("+-"), where)  # raises past the digits int() reads
+            raise ParseError(f"{where}: time index {fields[0]!r} is not an integer") from None
         try:
             values[i] = [float(v) for v in fields[1:]]
         except ValueError:
@@ -248,7 +249,23 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+class _LongInt:
+    """A JSON integer with more digits than int() reads; no float holds it either."""
+
+    def __init__(self, text: str):
+        self.digits = text.removeprefix("-")
+
+
+def _json_int(text: str) -> int | _LongInt:
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt(text)
+
+
 def _require_int(value, where: str) -> int:
+    if isinstance(value, _LongInt):
+        _digits(value.digits, where)  # raises
     try:
         return _as_int(value, where)
     except ValueError as exc:
@@ -258,7 +275,7 @@ def _require_int(value, where: str) -> int:
 def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
     with _open_utf8(path) as fh:
         try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
+            doc = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
         except UnicodeDecodeError:
@@ -294,7 +311,7 @@ def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
         ks.append(_require_int(step["k"], f"{where}: time index"))
         try:
             targets = np.array(step["targets"], dtype=float)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError):  # a _LongInt is a TypeError
             raise ParseError(f"{where}: 'targets' is not a rectangular array of reals") from None
         if targets.shape != (t, nx):
             raise InconsistentShape(

@@ -24,6 +24,7 @@ from lospa import (
     solve_stack,
 )
 from lospa.constants import REL_TOL_BACKENDS
+from lospa.core import add_label_penalty_inplace, localization_costs
 
 from helpers import enum_min_assignment, mts
 
@@ -264,7 +265,15 @@ def no_pool(*args, **kwargs):
 
 
 class TestThreadedLsap:
-    """LSAP solves of large uncertified matrices run in threads, with serial results."""
+    """LSAP solves of large uncertified matrices run in threads, with serial results.
+
+    The one-collision repair is off here: on these random stacks it would
+    take some matrices from LSAP, and the counts below are of LSAP's share.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_repair(self, monkeypatch):
+        monkeypatch.setattr(assignment, "_repair", lambda C, cols: False)
 
     @pytest.mark.parametrize("t", [2, 5, 20])
     def test_pool_matches_serial_bit_for_bit(self, monkeypatch, lsap_calls, pools, t):
@@ -333,6 +342,90 @@ class TestThreadedLsap:
             solve_stack(stack, SolverBackend.OPTIMAL)
         assert err.value is boom
         assert pools == [2]
+
+
+def collision_stack(t, seed, pairs=((0, 1),)):
+    """Unlabelled and labelled (alpha = 1) costs of one near-correct step.
+
+    Targets lie hundreds of units apart and carry noise of 0.1, except that
+    estimate a sits on truth b for each (a, b) in ``pairs``: rows a and b
+    then claim column b in both matrices, and column a is left free.
+    """
+    rng = np.random.default_rng(seed)
+    truth = rng.uniform(0.0, 1000.0, size=(1, t, 2))
+    est = truth + rng.normal(0.0, 0.1, size=truth.shape)
+    for a, b in pairs:
+        est[0, a] = truth[0, b] + rng.normal(0.0, 0.1, size=2)
+    C = np.empty((2, t, t))
+    localization_costs(est, truth, LospaParams(), C[:1])
+    C[1] = C[0]
+    add_label_penalty_inplace(C[1:], LospaParams())
+    return C
+
+
+def free_rows(C):
+    """How many rows of each matrix find their argmin column claimed by an earlier row."""
+    t = C.shape[1]
+    return [int(np.count_nonzero(np.bincount(M.argmin(axis=1), minlength=t) == 0)) for M in C]
+
+
+def assert_lsap_pairings(C, perms, totals):
+    ref = [linear_sum_assignment(M)[1] for M in C]
+    assert perms.tolist() == [cols.tolist() for cols in ref]
+    ref_totals = np.array([path_cost(M, cols) for M, cols in zip(C, ref)])
+    assert totals.view(np.int64).tolist() == ref_totals.view(np.int64).tolist()
+
+
+class TestRepair:
+    """Argmins that one collision keeps from a permutation are completed without LSAP."""
+
+    @pytest.mark.parametrize("t", [3, 5, 8, 20, 512])
+    def test_one_collision_matches_lsap_bit_for_bit(self, lsap_calls, t):
+        C = collision_stack(t, seed=80 + t)
+        assert free_rows(C) == [1, 1]
+        perms, totals = solve_stack(C, SolverBackend.OPTIMAL)
+        assert lsap_calls == []
+        assert_lsap_pairings(C, perms, totals)
+        if t <= 8:
+            brute = solve_stack(C, SolverBackend.BRUTE_FORCE)
+            assert perms.tolist() == brute[0].tolist()
+            assert totals.view(np.int64).tolist() == brute[1].view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "case, calls",
+        [("two_free_rows", 2), ("tied_row_minimum", 2), ("duplicate_rows", 1)],
+    )
+    def test_other_matrices_reach_lsap(self, lsap_calls, case, calls):
+        t = 6
+        C = collision_stack(t, seed=90, pairs=((0, 1), (2, 3)) if case == "two_free_rows" else ((0, 1),))
+        if case == "tied_row_minimum":
+            C[:, 4, 5] = C[:, 4, 4]  # row 4 keeps its argmin, but not a strict one
+        if case == "duplicate_rows":
+            C[1, 0] = C[1, 1]  # the labelled matrix, solved after the other, has two optima
+        assert free_rows(C) == ([2, 2] if case == "two_free_rows" else [1, 1])
+        perms, totals = solve_stack(C, SolverBackend.OPTIMAL)
+        assert len(lsap_calls) == calls
+        assert_lsap_pairings(C, perms, totals)
+
+    def test_tie_lost_to_rounding_reaches_lsap(self, lsap_calls):
+        # 0.3 + 0.4 + 1.2 and 0.2 + 0.4 + 1.3 tie in exact arithmetic; the
+        # float duals show the tie only through the tolerance.
+        C = np.array([[[0.3, 0.2, 2.1], [1.7, 1.7, 0.4], [1.3, 1.2, 1.7]]])
+        assert free_rows(C) == [1]
+        perms, totals = solve_stack(C, SolverBackend.OPTIMAL)
+        assert len(lsap_calls) == 1
+        assert_lsap_pairings(C, perms, totals)
+
+    def test_repair_stops_at_the_first_matrix_it_cannot_settle(self, lsap_calls):
+        # Once LSAP is needed anyway, it is the faster solver for the rest.
+        C = collision_stack(6, seed=90)
+        tied = C[0].copy()
+        tied[0] = tied[1]
+        stack = np.stack([C[0], tied, C[1]])
+        assert free_rows(stack) == [1, 1, 1]
+        perms, totals = solve_stack(stack, SolverBackend.OPTIMAL)
+        assert [M.tolist() for M in lsap_calls] == [tied.tolist(), C[1].tolist()]
+        assert_lsap_pairings(stack, perms, totals)
 
 
 class TestSolveDispatch:

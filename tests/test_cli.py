@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lospa import __version__
+from lospa import __version__, assignment
 from lospa.cli import main
 
 from helpers import ESTIMATE_POINTS, TRUTH_POINTS, csv_text, json_doc
@@ -183,10 +183,15 @@ class TestComputeErrors:
             ("big_k.csv", f"# t=1 nx=1\nk,x_1_1\n{10**30},1.0\n", "line 3"),
             ("big_k.json", f'{{"t": 1, "nx": 1, "steps": [{{"k": {10**30}, "targets": [[1.0]]}}]}}',
              "steps[0]"),
+            ("long_k.csv", "# t=1 nx=1\nk,x_1_1\n" + "1" * 4301 + ",1.0\n",
+             "line 3: a number of 4301 digits is too large"),
+            ("long_k.json", '{"t": 1, "nx": 1, "steps": [{"k": ' + "1" * 4301
+             + ', "targets": [[1.0]]}]}', "steps[0]: time index: a number of 4301 digits"),
         ],
         ids=["cell_131073_chars", "header_name_131073_chars", "unterminated_quote",
              "quoted_number", "quoted_header", "json_1000_deep", "header_index_4301_digits",
-             "sidecar_t_4301_digits", "csv_k_1e30", "json_k_1e30"],
+             "sidecar_t_4301_digits", "csv_k_1e30", "json_k_1e30", "csv_k_4301_digits",
+             "json_k_4301_digits"],
     )
     def test_malformed_input_is_one_line_exit_2(self, traj_files, tmp_path, capsys,
                                                 name, text, where):
@@ -313,18 +318,22 @@ def run_fresh(*argv):
     return proc.returncode, proc.stderr, json.loads(proc.stdout.splitlines()[-1])
 
 
-def write_trajectories(tmp_path, estimate, t, nx, T=40, seed=0):
+def write_trajectories(tmp_path, estimate, t, nx, T=40, seed=0, collide=False):
     """Truth and estimate CSV files; the estimate is "near" or "random".
 
     A near estimate is the truth plus noise of 0.1 on targets hundreds of
     units apart, with one pair swapped at every third step, so every
-    optimal pairing is certified by its row minima.
+    optimal pairing is certified by its row minima.  With ``collide``, a
+    near estimate 2 of the first step sits on truth 3 instead: two rows
+    then claim one column, and the certificate fails.
     """
     rng = np.random.default_rng(seed)
     truth = rng.uniform(0.0, 1000.0, size=(T, t, nx))
     if estimate == "near":
         est = truth + rng.normal(0.0, 0.1, size=truth.shape)
         est[::3, [0, 1]] = est[::3, [1, 0]]
+        if collide:
+            est[0, 2] = truth[0, 3] + rng.normal(0.0, 0.1, size=nx)
     else:
         est = rng.uniform(0.0, 1000.0, size=truth.shape)
     paths = tmp_path / "truth.csv", tmp_path / "est.csv"
@@ -341,7 +350,12 @@ def compute_args(truth, est, out, metric="euclidean", backend="optimal", p="2", 
 
 
 class TestScipyOnDemand:
-    """scipy is imported only for cdist or for a matrix that fails the certificate."""
+    """scipy is imported only for cdist, at q other than 1 and 2, or for LSAP.
+
+    LSAP solves a matrix that fails the row-minimum certificate, unless its
+    row minima are strict and its argmins collide once: the optimal backend
+    repairs those in numpy until a matrix of the stack needs LSAP.
+    """
 
     def test_version_and_demo(self):
         for command in ("version", "demo"):
@@ -369,6 +383,22 @@ class TestScipyOnDemand:
         doc, ref = json.loads(optimal.read_text()), json.loads(brute.read_text())
         assert (doc.pop("backend"), ref.pop("backend")) == ("optimal", "brute")
         assert doc == ref
+
+    @pytest.mark.parametrize("t", [5, 512])
+    @pytest.mark.parametrize("estimate", ["near", "random"])
+    def test_one_collision_imports_scipy_only_for_a_random_estimate(
+        self, tmp_path, monkeypatch, lsap_calls, estimate, t
+    ):
+        truth, est = write_trajectories(tmp_path, estimate, t=t, nx=2, T=4, collide=True)
+        out, ref = tmp_path / "r.json", tmp_path / "lsap.json"
+        code, err, modules = run_fresh(*compute_args(truth, est, out))
+        assert (code, err) == (0, "")
+        assert "scipy.optimize" in modules if estimate == "random" else modules == []
+        # The same report with every uncertified matrix solved by LSAP.
+        monkeypatch.setattr(assignment, "_repair", lambda C, cols: False)
+        assert main(compute_args(str(truth), str(est), str(ref))) == 0
+        assert len(lsap_calls) >= 2  # both halves of the colliding step, at least
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_overflow_prints_only_the_error_line(self, tmp_path):
         truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"

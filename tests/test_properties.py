@@ -2,6 +2,7 @@
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from scipy.spatial.distance import cdist
 
@@ -19,6 +20,7 @@ from lospa import (
     ospa_no_cutoff,
 )
 from lospa.constants import ABS_TOL_TRIANGLE, REL_TOL_BACKENDS, REL_TOL_EXACT
+from lospa import core
 from lospa.core import localization_costs
 
 from helpers import enum_lospa, mts
@@ -139,11 +141,11 @@ def test_set_and_vector_domains_agree(data, params):
 def state_stacks(draw):
     """Two (n, t, n_x) stacks with coordinates of magnitude 1e-150 to 1e150.
 
-    t = 16 and t = 17 sit on both sides of the size up to which the costs
-    are built in numpy rather than by cdist.
+    From t = 257 on, the default block of the numpy build no longer holds
+    a whole matrix, so each matrix is built in blocks of rows.
     """
     n = draw(st.integers(1, 3))
-    t = draw(st.sampled_from([1, 2, 5, 16, 17]))
+    t = draw(st.sampled_from([1, 2, 5, 16, 17, 100, 257]))
     nx = draw(st.integers(1, 16))
     low = draw(st.integers(-150, 148))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -155,16 +157,23 @@ def state_stacks(draw):
     return stack(), stack()
 
 
+@settings(deadline=None)
 @given(
     state_stacks(),
     st.sampled_from([BaseMetric.euclidean(), BaseMetric.pnorm(1.0), BaseMetric.pnorm(2.0)]),
     st.sampled_from([1.0, 1.5, 2.0]),
+    # Smaller blocks split small matrices into rows too, and stacks into groups
+    # of matrices with a shorter last group (60 entries hold two 5 x 5 matrices).
+    st.sampled_from([None, 1, 7, 60, 300]),
 )
-def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p):
+def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p, block):
     xs, ys = stacks
     params = LospaParams(p=p, alpha=1.0, base_metric=metric)
     n, t, _ = xs.shape
-    out = localization_costs(xs, ys, params, np.empty((n, t, t)))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(core, "_BUILD_BLOCK_ENTRIES", block)
+        out = localization_costs(xs, ys, params, np.empty((n, t, t)))
     ref = np.array([cdist(x, y, "minkowski", p=metric.q) for x, y in zip(xs, ys)]) ** p
     assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 

@@ -219,6 +219,22 @@ class TestCsv:
             load_trajectory(path, "csv")
         assert str(err.value) == f"{path}: {line}: time index outside the int64 range"
 
+    @pytest.mark.parametrize(
+        "k", ["1" * 4301, " -" + "9" * 4301 + " ", "+" + "9" * 4301, "--" + "9" * 4301],
+        ids=["plain", "negative_padded", "plus_sign", "two_signs"],
+    )
+    def test_time_index_past_the_int_digit_limit(self, tmp_path, k):
+        # int() refuses more than 4,300 digits: the error names the line, not the digits.
+        # Two signs are refused for the signs, whatever the length.
+        path = tmp_path / "traj.csv"
+        path.write_text(f"# t=1 nx=1\nk,x_1_1\n0,1.0\n{k},2.0\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        if k.startswith("--"):
+            assert str(err.value) == f"{path}: line 4: time index {k!r} is not an integer"
+        else:
+            assert str(err.value) == f"{path}: line 4: a number of 4301 digits is too large"
+
 
 class TestJson:
     def test_basic(self, tmp_path):
@@ -316,8 +332,9 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "ks, named",
-        [([0, 10**30], "steps[1]"), ([-1, 2**63], "steps[1]"), ([-(2**63) - 1], "steps[0]")],
-        ids=["1e30", "2_pow_63_after_negative", "below_int64"],
+        [([0, 10**30], "steps[1]"), ([-1, 2**63], "steps[1]"), ([-(2**63) - 1], "steps[0]"),
+         ([0, -(10**400)], "steps[1]")],
+        ids=["1e30", "2_pow_63_after_negative", "below_int64", "minus_1e400"],
     )
     def test_time_index_outside_int64_names_step(self, tmp_path, ks, named):
         path = tmp_path / "traj.json"
@@ -325,6 +342,35 @@ class TestJson:
         with pytest.raises(ParseError) as err:
             load_trajectory(path, "json")
         assert str(err.value) == f"{path}: {named}: time index outside the int64 range"
+
+    @pytest.mark.parametrize(
+        "t, nx, k, named",
+        [("1", "1", "-" + "9" * 4301, "steps[1]: time index"),
+         ("1" * 4301, "1", "1", "'t'"),
+         ("1", "9" * 4301, "1", "'nx'")],
+        ids=["k", "t", "nx"],
+    )
+    def test_integer_past_the_int_digit_limit(self, tmp_path, t, nx, k, named):
+        path = tmp_path / "traj.json"
+        path.write_text(
+            f'{{"t": {t}, "nx": {nx}, "steps": [{{"k": 0, "targets": [[1.0]]}}, '
+            f'{{"k": {k}, "targets": [[2.0]]}}]}}'
+        )
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "json")
+        assert str(err.value) == f"{path}: {named}: a number of 4301 digits is too large"
+
+    @pytest.mark.parametrize(
+        "target", ["9" * 4301, "-" + "9" * 400, "2" * 309],
+        ids=["past_the_int_digit_limit", "400_digits", "309_digits"],
+    )
+    def test_integer_target_beyond_the_float_range(self, tmp_path, target):
+        # However many digits it has, an integer that no float holds is one error.
+        path = tmp_path / "traj.json"
+        path.write_text('{"t": 1, "nx": 1, "steps": [{"k": 0, "targets": [[' + target + "]]}]}")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "json")
+        assert str(err.value) == f"{path}: steps[0]: 'targets' is not a rectangular array of reals"
 
     def test_time_must_increase(self, tmp_path):
         doc = json_doc([(3, [[1.0]]), (2, [[2.0]])], t=1, nx=1)
