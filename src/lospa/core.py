@@ -41,6 +41,12 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut to 40 characters and an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
 def _as_int(value, what: str) -> int:
     """``value`` as an int if it is an integer; bools, floats and strings raise."""
     try:
@@ -48,7 +54,7 @@ def _as_int(value, what: str) -> int:
             return operator.index(value)
     except TypeError:
         pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {_echo(value)}")
 
 
 @dataclass(frozen=True, eq=False)

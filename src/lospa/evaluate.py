@@ -48,12 +48,14 @@ _REPORT = """\
   }}
 }}
 """
-# One entry of "per_step"; entries are joined by ",\n".
+# One entry of "per_step"; entries are joined by ",\n".  str.format puts in
+# the float spec and one "%d" per target, which gives the %-template that
+# each step's (k, lospa, ospa, *perm) fills.
 _STEP = """\
     {{
-      "k": {k},
-      "lospa": {lospa:{f}},
-      "ospa": {ospa:{f}},
+      "k": %d,
+      "lospa": %{f},
+      "ospa": %{f},
       "optimal_perm": [
         {perm}
       ]
@@ -92,10 +94,9 @@ class EvalReport:
         if len(perms) != 2 or perms[0] < 1 or not k == lospa == ospa == perms[:1]:
             raise ValueError(f"report columns need shapes (T,) x 3 and (T, t), T >= 1: {shapes}")
 
-    # Python's left-to-right sums: np.mean sums pairwise, which can move the last bit.
     @property
     def mean_lospa(self) -> float:
-        return sum(self.lospa.tolist()) / len(self.lospa)
+        return _mean(self.lospa)
 
     @property
     def max_lospa(self) -> float:
@@ -103,23 +104,40 @@ class EvalReport:
 
     @property
     def mean_ospa(self) -> float:
-        return sum(self.ospa.tolist()) / len(self.ospa)
+        return _mean(self.ospa)
 
     def to_json(self) -> str:
-        """Byte-deterministic JSON text (trailing newline included)."""
+        """Byte-deterministic JSON text (trailing newline included).
+
+        Every step is filled into one %-template built for this report's t,
+        from the columns as Python ints and floats; ``"%.17g" % x`` is
+        ``format(x, ".17g")``.
+        """
         f = _FLOAT_SPEC
-        steps = ",\n".join(
-            _STEP.format(k=k, lospa=lospa, ospa=ospa, perm=",\n        ".join(map(str, perm)), f=f)
-            for k, lospa, ospa, perm in zip(
-                self.k.tolist(), self.lospa.tolist(), self.ospa.tolist(), self.perms.tolist()
-            )
+        step = _STEP.format(f=f, perm=",\n        ".join(["%d"] * self.perms.shape[1]))
+        columns = zip(
+            self.k.tolist(), self.lospa.tolist(), self.ospa.tolist(), *self.perms.T.tolist()
         )
         echo = self.params_echo
         return _REPORT.format(
             p=float(echo.p), alpha=float(echo.alpha), metric=echo.base_metric.describe(),
-            backend=self.backend.value, steps=steps, mean_lospa=self.mean_lospa,
-            max_lospa=self.max_lospa, mean_ospa=self.mean_ospa, f=f,
+            backend=self.backend.value, steps=",\n".join(map(step.__mod__, columns)),
+            mean_lospa=self.mean_lospa, max_lospa=self.max_lospa, mean_ospa=self.mean_ospa,
+            f=f,
         )
+
+
+def _mean(column: np.ndarray) -> float:
+    """Python's left-to-right mean: np.mean sums pairwise, which can move the last bit.
+
+    Finite values whose sum passes the float range are divided before they
+    are summed, so the mean stays finite (and the report valid JSON).
+    """
+    values = column.tolist()
+    total = sum(values)
+    if math.isinf(total):
+        return sum(v / len(values) for v in values)
+    return total / len(values)
 
 
 def evaluate(

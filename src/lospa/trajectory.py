@@ -11,7 +11,8 @@ per-target dimension n_x constant across every timestep:
   ``x_<target>_<component>`` header names.  Explicit arguments win over the
   sidecar, which wins over inference.  The header and rows are split on
   commas, with no quoting.  Data rows hold plain ASCII numbers: no ``_``
-  digit separators and no non-ASCII digits.
+  digit separators, no non-ASCII digits and no ASCII separator characters
+  (``\x1c``-``\x1f``).
 * JSON — ``{"t": int, "nx": int, "steps": [{"k": int, "targets": [[...]]}]}``.
 
 Parsing is strict: malformed records name their line or record number, NaN
@@ -20,7 +21,16 @@ or infinite cells are rejected, and any drift in t or n_x is an error
 formats are UTF-8, and a leading byte order mark is ignored.  JSON
 integers are never coerced from floats, booleans or strings, target entries
 must be JSON numbers (not booleans, strings or null), and a repeated object
-key is an error.
+key is an error.  A cell or value echoed in an error message is cut to 40
+characters.
+
+Both formats are parsed in bulk.  CSV time indices go through ``int()``,
+never through a float, and every cell through one ``np.loadtxt`` call,
+which reads a number exactly as ``float()`` does once the ASCII separators
+are ruled out.  JSON steps are stacked by one
+``np.array`` call and their entries type-checked in one pass.  Only when the
+bulk parse fails does a per-row (per-step) loop run, to name the first bad
+record with its message; it accepts nothing that the bulk parse refused.
 """
 
 from __future__ import annotations
@@ -29,11 +39,13 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Callable, NoReturn
 
 import numpy as np
 
-from .core import _as_int
+from .core import _as_int, _echo
 from .errors import InconsistentShape, NonFiniteValue, ParseError
 
 __all__ = ["Trajectory", "load_trajectory"]
@@ -76,7 +88,7 @@ class Trajectory:
             )
         if not np.all(np.isfinite(states)):
             raise NonFiniteValue("trajectory states contain NaN or infinity")
-        back = np.flatnonzero(np.diff(ks) <= 0)
+        back = np.flatnonzero(ks[1:] <= ks[:-1])  # np.diff would wrap past int64
         if back.size:
             i = back[0]
             raise ValueError(
@@ -99,16 +111,18 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _trajectory(path: Path, ks: list[int], states: np.ndarray, records: list[str]) -> Trajectory:
-    """Validate parsed arrays; errors name the file and the offending record."""
+def _trajectory(
+    path: Path, ks: list[int], states: np.ndarray, record: Callable[[int], str]
+) -> Trajectory:
+    """Validate parsed arrays; errors name the file and ``record(i)`` of step i."""
     try:
         return Trajectory(ks, states)
     except NonFiniteValue:
         i = int(np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0])
-        raise NonFiniteValue(f"NaN or infinity in {path}: {records[i]}") from None
+        raise NonFiniteValue(f"NaN or infinity in {path}: {record(i)}") from None
     except ValueError as exc:  # such as a time index outside int64
-        out = [r for k, r in zip(ks, records) if not -(2**63) <= k < 2**63]
-        why = f"{out[0]}: time index outside the int64 range" if out else exc
+        out = next((i for i, k in enumerate(ks) if not -(2**63) <= k < 2**63), None)
+        why = exc if out is None else f"{record(out)}: time index outside the int64 range"
         raise ParseError(f"{path}: {why}") from None
 
 
@@ -133,7 +147,7 @@ def _infer_shape_from_header(names: list[str], where: str) -> tuple[int, int]:
         m = _COLUMN_RE.match(name.strip())
         if m is None:
             raise ParseError(
-                f"{where}: cannot infer t and nx: column {name!r} is not of the form "
+                f"{where}: cannot infer t and nx: column {_echo(name)} is not of the form "
                 f"'x_<target>_<component>' {hint}"
             )
         pairs.append((_digits(m.group(1), where), _digits(m.group(2), where)))
@@ -161,91 +175,127 @@ def _open_utf8(path: Path):
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+# np.loadtxt skips these ASCII separators around a number, as it does spaces;
+# float() and int() refuse them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
     sidecar: tuple[int, int] | None = None
-    rows: list[tuple[int, list[str]]] = []  # (1-based line number, fields)
+    linenos: list[int] = []  # 1-based line numbers of the header and the data rows
+    rows: list[str] = []  # their text, stripped
     with _open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if _SIDECAR_START_RE.match(text):
-                    m = _SIDECAR_RE.match(text)
-                    if m is None:
-                        raise ParseError(
-                            f"{path}: line {lineno}: malformed '# t=.. nx=..' line {text!r}"
-                        )
-                    if sidecar is not None or len(rows) > 1:
-                        raise ParseError(
-                            f"{path}: line {lineno}: the '# t=.. nx=..' line may appear "
-                            f"only once, before the first data row"
-                        )
-                    where = f"{path}: line {lineno}"
-                    sidecar = (_digits(m.group(1), where), _digits(m.group(2), where))
-                continue
-            # int() and float() would read '1_0' as 10 and non-ASCII digits too.
-            if rows and ("_" in line or not line.isascii()):
-                raise ParseError(
-                    f"{path}: line {lineno}: data rows may hold only plain ASCII numbers"
-                )
-            rows.append((lineno, text.split(",")))
+        content = fh.read()  # universal newlines: "\r\n" and "\r" are read as "\n"
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            if _SIDECAR_START_RE.match(text):
+                m = _SIDECAR_RE.match(text)
+                if m is None:
+                    raise ParseError(
+                        f"{path}: line {lineno}: malformed '# t=.. nx=..' line {_echo(text)}"
+                    )
+                if sidecar is not None or len(rows) > 1:
+                    raise ParseError(
+                        f"{path}: line {lineno}: the '# t=.. nx=..' line may appear "
+                        f"only once, before the first data row"
+                    )
+                where = f"{path}: line {lineno}"
+                sidecar = (_digits(m.group(1), where), _digits(m.group(2), where))
+            continue
+        # int() and float() would read '1_0' as 10 and non-ASCII digits too.
+        # Checked before strip(), which also drops non-ASCII spaces.
+        if rows and ("_" in line or not line.isascii()):
+            raise ParseError(
+                f"{path}: line {lineno}: data rows may hold only plain ASCII numbers"
+            )
+        linenos.append(lineno)
+        rows.append(text)
 
     if not rows:
         raise ParseError(f"{path}: no header row found")
-    header_line, header = rows[0]
-    data = rows[1:]
-    if not header or header[0].strip() != "k":
-        raise ParseError(f"{path}: line {header_line}: first header column must be 'k'")
+    header = rows[0].split(",")
+    header_where = f"{path}: line {linenos[0]}"
+    if header[0].strip() != "k":
+        raise ParseError(f"{header_where}: first header column must be 'k'")
 
     if t is None and sidecar is not None:
         t = sidecar[0]
     if nx is None and sidecar is not None:
         nx = sidecar[1]
     if t is None or nx is None:
-        inf_t, inf_nx = _infer_shape_from_header(header[1:], f"{path}: line {header_line}")
+        inf_t, inf_nx = _infer_shape_from_header(header[1:], header_where)
         t = inf_t if t is None else t
         nx = inf_nx if nx is None else nx
     if t < 1 or nx < 1:
         raise ParseError(f"{path}: t and nx must be >= 1, got t={t} nx={nx}")
     if len(header) != 1 + t * nx:
         raise ParseError(
-            f"{path}: line {header_line}: header has {len(header)} columns, "
+            f"{header_where}: header has {len(header)} columns, "
             f"expected 1 + t*nx = {1 + t * nx} for t={t} nx={nx}"
         )
 
+    data = rows[1:]
     if not data:
         raise ParseError(f"{path}: no data rows")
-    ks = []
-    values = np.empty((len(data), t * nx))
-    for i, (lineno, fields) in enumerate(data):
-        if len(fields) != 1 + t * nx:
-            raise InconsistentShape(
-                f"{path}: line {lineno}: row has {len(fields)} columns, "
-                f"expected {1 + t * nx} (t={t} targets of dimension {nx})"
-            )
-        try:
-            ks.append(int(fields[0]))
-        except ValueError:
-            where, cell = f"{path}: line {lineno}", fields[0].strip()
-            if cell.isdigit() or cell[:1] in ("+", "-") and cell[1:].isdigit():
-                _digits(cell.lstrip("+-"), where)  # raises past the digits int() reads
-            raise ParseError(f"{where}: time index {fields[0]!r} is not an integer") from None
-        try:
-            values[i] = [float(v) for v in fields[1:]]
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-numeric state value") from None
+    try:
+        joined = "\n".join(data)
+        if any(sep in joined for sep in _SEPARATORS):
+            raise ValueError("an ASCII separator in a data row")
+        # The time index never passes through a float.
+        ks = [int(row.partition(",")[0]) for row in data]
+        # Every column, so that a row of any other width fails here.
+        values = np.loadtxt(data, delimiter=",", comments=None, dtype=float, ndmin=2)
+        if values.shape[1] != 1 + t * nx:
+            raise ValueError("rows of the wrong width")
+    except ValueError:
+        _raise_row_error(path, data, linenos[1:], t, nx)
     return _trajectory(
-        path, ks, values.reshape(-1, t, nx), [f"line {lineno}" for lineno, _ in data]
+        path, ks, values[:, 1:].reshape(-1, t, nx), lambda i: f"line {linenos[i + 1]}"
     )
 
 
+def _raise_row_error(
+    path: Path, rows: list[str], linenos: list[int], t: int, nx: int
+) -> NoReturn:
+    """Raise the error of the first data row of the wrong width, or with a cell
+    that int() or float() refuses.
+
+    Only called once the bulk parse in ``_load_csv`` has failed: it names the
+    line, and accepts nothing.
+    """
+    for lineno, row in zip(linenos, rows):
+        where = f"{path}: line {lineno}"
+        fields = row.split(",")
+        if len(fields) != 1 + t * nx:
+            raise InconsistentShape(
+                f"{where}: row has {len(fields)} columns, "
+                f"expected {1 + t * nx} (t={t} targets of dimension {nx})"
+            )
+        try:
+            int(fields[0])
+        except ValueError:
+            cell = fields[0].strip()
+            if cell.isdigit() or cell[:1] in ("+", "-") and cell[1:].isdigit():
+                _digits(cell.lstrip("+-"), where)  # raises past the digits int() reads
+            raise ParseError(f"{where}: time index {_echo(fields[0])} is not an integer") from None
+        try:
+            [float(v) for v in fields[1:]]
+        except ValueError:
+            raise ParseError(f"{where}: non-numeric state value") from None
+    raise ParseError(f"{path}: data rows are not plain numbers")
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"duplicate key {key!r}")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) < len(pairs):  # name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {_echo(key)}")
+            seen.add(key)
     return doc
 
 
@@ -301,28 +351,50 @@ def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
     if not isinstance(doc["steps"], list) or not doc["steps"]:
         raise ParseError(f"{path}: 'steps' must be a non-empty array")
 
-    # Stacked only after every step has shown its shape, so that a t or nx
-    # far larger than the file holds is a shape error, not an allocation.
-    ks, states = [], []
-    for i, step in enumerate(doc["steps"]):
+    steps = doc["steps"]
+    # One pass over all steps; any doubt goes to the per-step checks.  The
+    # stack holds only what the file holds, so a t or nx far larger than
+    # that is a shape error, not an allocation.
+    try:
+        ks = [step["k"] for step in steps]
+        targets = [step["targets"] for step in steps]
+        states = np.array(targets, dtype=float)
+        # np.array would read true as 1.0, "2.5" as 2.5 and null as NaN.
+        ok = (
+            set(map(type, ks)) <= {int}
+            and states.shape == (len(steps), t, nx)
+            and set(map(type, chain.from_iterable(chain.from_iterable(targets)))) <= {int, float}
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):  # a _LongInt is a TypeError
+        ok = False
+    if not ok:
+        _raise_step_error(path, steps, t, nx)
+    return _trajectory(path, ks, states, lambda i: f"steps[{i}]")
+
+
+def _raise_step_error(path: Path, steps: list, t: int, nx: int) -> NoReturn:
+    """Raise the error of the first step that is not k and a (t, nx) array of numbers.
+
+    Only called once the one-pass check in ``_load_json`` has failed: it
+    names the step, and accepts nothing.
+    """
+    for i, step in enumerate(steps):
         where = f"{path}: steps[{i}]"
         if not isinstance(step, dict) or "k" not in step or "targets" not in step:
             raise ParseError(f"{where}: expected an object with 'k' and 'targets'")
-        ks.append(_require_int(step["k"], f"{where}: time index"))
+        _require_int(step["k"], f"{where}: time index")
         try:
             targets = np.array(step["targets"], dtype=float)
-        except (TypeError, ValueError, OverflowError):  # a _LongInt is a TypeError
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{where}: 'targets' is not a rectangular array of reals") from None
         if targets.shape != (t, nx):
             raise InconsistentShape(
                 f"{where}: targets have shape {targets.shape}, expected ({t}, {nx})"
             )
-        # np.array would read true as 1.0 and "2.5" as 2.5.
         bad = [v for row in step["targets"] for v in row if type(v) not in (int, float)]
         if bad:
-            raise ParseError(f"{where}: target entry {bad[0]!r} is not a JSON number")
-        states.append(targets)
-    return _trajectory(path, ks, np.array(states), [f"steps[{i}]" for i in range(len(ks))])
+            raise ParseError(f"{where}: target entry {_echo(bad[0])} is not a JSON number")
+    raise ParseError(f"{path}: 'steps' do not stack into a (T, t, nx) array")
 
 
 def load_trajectory(

@@ -203,6 +203,22 @@ class TestComputeErrors:
         assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
         assert str(bad) in err and where in err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("long_k.csv", "# t=1 nx=1\nk,x_1_1\n1.5" + "x" * 100_000 + ",1.0\n"),
+         ("long_k.json", '{"t": 1, "nx": 1, "steps": [{"k": "' + "x" * 100_000
+          + '", "targets": [[1.0]]}]}')],
+        ids=["csv", "json"],
+    )
+    def test_long_bad_time_index_is_echoed_cut(self, traj_files, tmp_path, capsys, name, text):
+        truth, _ = traj_files
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert run_compute(truth, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 1024 and "xxx…" in err
+
     def test_missing_required_flag_is_usage_error(self, traj_files):
         truth, _ = traj_files
         with pytest.raises(SystemExit) as exc:

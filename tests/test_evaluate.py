@@ -277,6 +277,13 @@ class TestReportJson:
         assert doc["per_step"][2]["lospa"] == report.lospa[2]
         assert doc["aggregates"]["mean_lospa"] == report.mean_lospa
 
+    def test_means_past_the_float_range_stay_finite(self):
+        # Two distances of 9e307 sum past the float range; "inf" is not JSON.
+        params = LospaParams(p=1.0, alpha=0.5, base_metric=BaseMetric.pnorm(1.0))
+        report = evaluate(constant_trajectory([0.0], 2), constant_trajectory([9e307], 2), params)
+        doc = json.loads(report.to_json())
+        assert doc["aggregates"]["mean_lospa"] == doc["aggregates"]["mean_ospa"] == 9e307
+
     def test_byte_determinism(self):
         assert self.make_report().to_json() == self.make_report().to_json()
 

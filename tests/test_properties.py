@@ -1,5 +1,7 @@
 """Randomized invariants: metric axioms, backend agreement, equivalences."""
 
+import json
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.spatial.distance import cdist
 
 from lospa import (
     BaseMetric,
+    EvalReport,
     LabelledSet,
     LabelledTarget,
     LospaError,
@@ -178,15 +181,47 @@ def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p, block):
     assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
+@st.composite
+def report_columns(draw):
+    """k, lospa, ospa and perms columns of a report of 1-20 steps.
+
+    Time indices span int64, and distances run from 0 through subnormals
+    to 1e308.
+    """
+    t = draw(st.sampled_from([1, 2, 5, 17]))
+    T = draw(st.integers(1, 20))
+    ks = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=T, max_size=T))
+    distances = st.lists(st.floats(min_value=0.0, max_value=1e308), min_size=T, max_size=T)
+    perms = [list(draw(st.permutations(range(t)))) for _ in range(T)]
+    return ks, draw(distances), draw(distances), perms
+
+
+@given(report_columns())
+def test_report_json_round_trips_every_column(columns):
+    ks, lospa_col, ospa_col, perms = columns
+    report = EvalReport(k=ks, lospa=lospa_col, ospa=ospa_col, perms=perms,
+                        params_echo=LospaParams(), backend=SolverBackend.OPTIMAL)
+    doc = json.loads(report.to_json())
+    steps = doc["per_step"]
+    assert [step["k"] for step in steps] == ks
+    assert [step["optimal_perm"] for step in steps] == perms
+    # An integral distance such as 0.0 is written "0", which json reads as an int.
+    got = np.array([[step["lospa"] for step in steps], [step["ospa"] for step in steps]],
+                   dtype=float)
+    assert got.tobytes() == np.array([lospa_col, ospa_col]).tobytes()
+    assert doc["aggregates"]["mean_lospa"] == report.mean_lospa
+    assert doc["aggregates"]["mean_ospa"] == report.mean_ospa
+
+
 # Pieces of CSV and JSON text, and bytes that are not UTF-8, for the loader.
 _FRAGMENTS = [
     piece.encode() if isinstance(piece, str) else piece
     for piece in [
-        "0", "1", "9", "-2", "1.5", "1e5", "nan", ",", '"', "#", " ", "\n", "\r\n",
+        "0", "1", "9", "-2", "1.5", "1e5", "nan", ",", '"', "#", " ", "\n", "\r\n", "\r",
         "# t=1 nx=1", "# t=2 nx=1", "k", "x_1_1", "x_2_1", "[", "]", "{", "}", ":",
         '"t"', '"nx"', '"steps"', '"k"', '"targets"', "true", "null",
         '{"t":1,"nx":1,"steps":[{"k":0,"targets":', "[[1.0]]}]}",
-        "\ufeff", "\x00", "\u00e9", "\u0663", "\u00a0", b"\xff", b"\xc3",
+        "\ufeff", "\x00", "\x1c", "\u00e9", "\u0663", "\u00a0", b"\xff", b"\xc3",
         "[" * 500, "9" * 65537,  # two nest 1,000 deep, or make a 131,074-character cell
     ]
 ]

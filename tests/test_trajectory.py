@@ -225,15 +225,107 @@ class TestCsv:
     )
     def test_time_index_past_the_int_digit_limit(self, tmp_path, k):
         # int() refuses more than 4,300 digits: the error names the line, not the digits.
-        # Two signs are refused for the signs, whatever the length.
+        # Two signs are refused for the signs, whatever the length; the cell is
+        # echoed cut to 40 characters.
         path = tmp_path / "traj.csv"
         path.write_text(f"# t=1 nx=1\nk,x_1_1\n0,1.0\n{k},2.0\n")
         with pytest.raises(ParseError) as err:
             load_trajectory(path, "csv")
         if k.startswith("--"):
-            assert str(err.value) == f"{path}: line 4: time index {k!r} is not an integer"
+            cut = repr(k)[:40] + "…"
+            assert str(err.value) == f"{path}: line 4: time index {cut} is not an integer"
         else:
             assert str(err.value) == f"{path}: line 4: a number of 4301 digits is too large"
+
+
+    @pytest.mark.parametrize("where", ["before", "inside", "after"])
+    @pytest.mark.parametrize("column", ["time_index", "state"])
+    def test_each_ascii_character_is_read_as_int_and_float_read_it(
+        self, tmp_path, column, where
+    ):
+        # A data line is stripped, then its time index goes through int() and
+        # each state through float(): the bulk parse must accept exactly those
+        # cells, with the same bits.  "\n" and "\r" end the line instead;
+        # the line-ending tests cover them.
+        path = tmp_path / "traj.csv"
+        for c in map(chr, range(128)):
+            if c in "\n\r":
+                continue
+            cell = {"before": c + "15", "inside": "1" + c + "5", "after": "15" + c}[where]
+            row = f"{cell},2.5" if column == "time_index" else f"3,{cell}"
+            path.write_text(f"# t=1 nx=1\nk,x_1_1\n-100,1.0\n{row}\n")
+            line = row.strip()
+            fields = line.split(",")
+            if line.startswith("#"):  # a comment line
+                assert load_trajectory(path, "csv").time_indices.tolist() == [-100], repr(c)
+                continue
+            try:
+                want = (int(fields[0]), float(fields[1])) if len(fields) == 2 else None
+            except ValueError:
+                want = None
+            if want is None or "_" in row:
+                with pytest.raises((ParseError, InconsistentShape), match="line 4: "):
+                    load_trajectory(path, "csv")
+                continue
+            traj = load_trajectory(path, "csv")
+            assert traj.time_indices.tolist() == [-100, want[0]], repr(c)
+            assert traj.states[1, 0, 0].tobytes() == np.float64(want[1]).tobytes(), repr(c)
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_ascii_separators_are_not_numbers(self, tmp_path, sep):
+        # np.loadtxt would skip them around a number, as it skips spaces.
+        path = tmp_path / "traj.csv"
+        path.write_text(f"# t=1 nx=1\nk,x_1_1\n0,{sep}1.5\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv")
+        assert str(err.value) == f"{path}: line 3: non-numeric state value"
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [(["0,1,2", "1,1,2", "2,1,2,3", "3,1,2"], "line 5"),
+         (["0,1,2,3", "1,1,2,3"], "line 3")],
+        ids=["later_row", "every_row"],
+    )
+    def test_extra_column_names_its_line(self, tmp_path, rows, line):
+        path = tmp_path / "traj.csv"
+        path.write_text("# t=2 nx=1\nk,x_1_1,x_2_1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InconsistentShape) as err:
+            load_trajectory(path, "csv")
+        assert str(err.value) == (
+            f"{path}: {line}: row has 4 columns, expected 3 (t=2 targets of dimension 1)"
+        )
+
+    def test_time_index_never_passes_through_a_float(self, tmp_path):
+        ks = [-(2**63), 2**53 + 1, 2**63 - 1]
+        path = tmp_path / "traj.csv"
+        path.write_text(csv_text([(k, [[1.0]]) for k in ks], t=1, nx=1))
+        assert load_trajectory(path, "csv").time_indices.tolist() == ks
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_load_bit_identical(self, tmp_path, newline):
+        steps = [(-3, [[0.1, -0.0], [5e-324, 1e300]]), (4, [[-2.5e-310, 7.0], [1 / 3, -1e-5]])]
+        text = csv_text(steps, t=2, nx=2)
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", newline).encode())
+        want, got = load_trajectory(lf, "csv"), load_trajectory(other, "csv")
+        assert got.time_indices.tolist() == want.time_indices.tolist() == [-3, 4]
+        assert got.states.tobytes() == want.states.tobytes()
+        assert want.states.tobytes() == np.array([points for _, points in steps]).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, ks",
+        [("# t=1 nx=1\nk,x_1_1\n7,0.5\n", [7]),
+         ("# t=1 nx=1\nk,x_1_1\n7,0.5\n8,-1e-3", [7, 8]),
+         ("# t=1 nx=1\nk,x_1_1\n7,0.5\n# note\n\n  \n8,-1e-3\n#\n9,2\n", [7, 8, 9])],
+        ids=["one_data_row", "no_trailing_newline", "comments_between_rows"],
+    )
+    def test_short_and_interleaved_files_load(self, tmp_path, text, ks):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        traj = load_trajectory(path, "csv")
+        assert traj.time_indices.tolist() == ks
+        assert traj.states.ravel().tolist() == [0.5, -1e-3, 2.0][: len(ks)]
 
 
 class TestJson:
@@ -290,6 +382,26 @@ class TestJson:
         with pytest.raises(ParseError) as err:
             load_trajectory(path, "json", **shape)
         assert named in str(err.value)
+
+    @pytest.mark.parametrize(
+        "last, error, message",
+        [("[[true, 2.0], [3.0, 4.0]]", ParseError, "target entry True is not a JSON number"),
+         ('[[1.0, "2.5"], [3.0, 4.0]]', ParseError, "target entry '2.5' is not a JSON number"),
+         ("[[1.0, 2.0], [null, 4.0]]", ParseError, "target entry None is not a JSON number"),
+         ("[[1.0, 2.0], [3.0]]", ParseError, "'targets' is not a rectangular array of reals"),
+         ("[[1.0, 2.0], [3.0, " + "9" * 4301 + "]]", ParseError,
+          "'targets' is not a rectangular array of reals"),
+         ("[[1.0, 2.0]]", InconsistentShape, "targets have shape (1, 2), expected (2, 2)")],
+        ids=["true", "string", "null", "ragged_row", "long_int", "one_target_short"],
+    )
+    def test_bad_last_step_of_1000_is_named(self, tmp_path, last, error, message):
+        steps = [f'{{"k": {i}, "targets": [[1.0, 2.0], [3.0, 4.0]]}}' for i in range(999)]
+        steps.append(f'{{"k": 999, "targets": {last}}}')
+        path = tmp_path / "traj.json"
+        path.write_text('{"t": 2, "nx": 2, "steps": [' + ", ".join(steps) + "]}")
+        with pytest.raises(error) as err:
+            load_trajectory(path, "json")
+        assert str(err.value) == f"{path}: steps[999]: {message}"
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "traj.json"
