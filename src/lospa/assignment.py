@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import DEFAULT_BRUTE_CAP
 from .core import CostMatrix, Permutation
-from .errors import CapExceeded, InvalidCost
+from .errors import CapExceeded, DimensionMismatch, InvalidCost
 
 __all__ = [
     "AssignmentSolution",
@@ -59,8 +59,15 @@ def _cost_matrix(C: CostMatrix | np.ndarray) -> CostMatrix:
 
 
 def path_cost(C: CostMatrix | np.ndarray, perm: Permutation) -> float:
-    """Total cost of a pairing, accumulated left-to-right in double precision."""
+    """Total cost of a pairing, accumulated left-to-right in double precision.
+
+    Raises DimensionMismatch unless the pairing has one entry per row.
+    """
     entries = _cost_matrix(C).entries
+    if len(perm) != len(entries):
+        raise DimensionMismatch(
+            f"pairing has {len(perm)} entries, cost matrix has {len(entries)} rows"
+        )
     total = 0.0
     for j, k in enumerate(perm):
         total += float(entries[j, k])
@@ -283,8 +290,10 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
 
     The lexicographically smallest cheapest pairing survives both rules.
 
-    Entries are trusted to be finite and nonnegative; :func:`solve`
-    validates single matrices through :class:`CostMatrix`.
+    The stack is read as float64 once, here, which copies any other dtype
+    but never a float64 stack.  Entries are trusted to be finite and
+    nonnegative; :func:`solve` validates single matrices through
+    :class:`CostMatrix`.
 
     Returns:
         ``(perms, totals)``: ``perms[i]`` is an optimal pairing of ``C[i]``
@@ -296,6 +305,7 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         CapExceeded: brute-force backend with more than
             ``DEFAULT_BRUTE_CAP`` targets.
     """
+    C = np.asarray(C, dtype=float)
     if C.ndim != 3 or C.shape[1] != C.shape[2] or 0 in C.shape:
         raise InvalidCost(f"expected an (n, t, t) stack of cost matrices, got shape {C.shape}")
     if backend is SolverBackend.BRUTE_FORCE:

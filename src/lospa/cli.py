@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .assignment import SolverBackend
-from .core import LospaParams, parse_base_metric
+from .core import LospaParams, _plain_number, parse_base_metric
 from .errors import LospaError
 from .evaluate import evaluate, run_demo
 from .trajectory import load_trajectory
@@ -40,9 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument("--truth", required=True, help="ground-truth trajectory file")
     compute.add_argument("--est", required=True, help="estimated trajectory file")
-    compute.add_argument("--p", required=True, type=float, help="order exponent, 1 <= p")
+    compute.add_argument("--p", required=True, help="order exponent, 1 <= p")
     compute.add_argument(
-        "--alpha", required=True, type=float,
+        "--alpha", required=True,
         help="labelling penalty; 0 gives the unlabelled (OSPA) distance",
     )
     compute.add_argument(
@@ -58,12 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="input format for both files (default: inferred from each extension)",
     )
     compute.add_argument("--out", help="write the report here instead of stdout")
-    compute.add_argument(
-        "--t", type=int, help="target count, when the files do not declare it"
-    )
-    compute.add_argument(
-        "--nx", type=int, help="per-target dimension, when the files do not declare it"
-    )
+    compute.add_argument("--t", help="target count, when the files do not declare it")
+    compute.add_argument("--nx", help="per-target dimension, when the files do not declare it")
 
     sub.add_parser("demo", help="run the built-in 3-target example and check it")
     sub.add_parser("version", help="print the package version")
@@ -81,17 +77,25 @@ def _infer_format(path: str) -> str:
     )
 
 
+def _flag(args: argparse.Namespace, name: str, parse):
+    """``parse`` of flag ``--name``'s text (None if absent); a ValueError names the flag."""
+    text = getattr(args, name)
+    try:
+        return None if text is None else parse(text)
+    except ValueError as exc:
+        raise ValueError(f"--{name}: {exc}") from None
+
+
 def _run_compute(args: argparse.Namespace) -> int:
     params = LospaParams(
-        p=args.p, alpha=args.alpha, base_metric=parse_base_metric(args.metric)
+        p=_flag(args, "p", _plain_number),
+        alpha=_flag(args, "alpha", _plain_number),
+        base_metric=_flag(args, "metric", parse_base_metric),
     )
     backend = SolverBackend(args.backend)
-    truth = load_trajectory(
-        args.truth, args.format or _infer_format(args.truth), t=args.t, nx=args.nx
-    )
-    estimate = load_trajectory(
-        args.est, args.format or _infer_format(args.est), t=args.t, nx=args.nx
-    )
+    t, nx = (_flag(args, name, lambda text: _plain_number(text, int)) for name in ("t", "nx"))
+    truth = load_trajectory(args.truth, args.format or _infer_format(args.truth), t=t, nx=nx)
+    estimate = load_trajectory(args.est, args.format or _infer_format(args.est), t=t, nx=nx)
     report = evaluate(truth, estimate, params, backend=backend)
     text = report.to_json()
     if args.out:

@@ -30,8 +30,7 @@ __all__ = [
     "Permutation",
     "CostMatrix",
     "build_cost_matrix",
-    "localization_costs",
-    "add_label_penalty_inplace",
+    "cost_stack",
 ]
 
 
@@ -148,23 +147,34 @@ class BaseMetric:
     def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """All-pairs distances between rows of two (t, n_x) arrays."""
         # Imported here: scipy is most of a cold start, and stacks with q in
-        # {1, 2} are built without it (see localization_costs).
+        # {1, 2} are built without it (see cost_stack).
         from scipy.spatial.distance import cdist
 
         return cdist(xs, ys, "minkowski", p=self.q)
 
 
+def _plain_number(text: str, kind=float):
+    """``kind(text)``; refuses '_' and non-ASCII digits, which int() and float() read."""
+    if "_" not in text and text.isascii():
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ValueError(f"expected {what} in plain ASCII, got {_echo(text)}")
+
+
 def parse_base_metric(text: str) -> BaseMetric:
-    """Parse the CLI spelling: ``euclidean`` or ``pnorm:<q>``."""
+    """Parse the CLI spelling: ``euclidean`` or ``pnorm:<q>``, q a plain ASCII number."""
     if text == "euclidean":
         return BaseMetric.euclidean()
     if text.startswith("pnorm:"):
         try:
-            q = float(text.split(":", 1)[1])
+            q = _plain_number(text.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad q-norm exponent in {text!r}") from None
+            raise ValueError(f"bad q-norm exponent in {_echo(text)}") from None
         return BaseMetric.pnorm(q)
-    raise ValueError(f"unknown base metric {text!r}; expected 'euclidean' or 'pnorm:<q>'")
+    raise ValueError(f"unknown base metric {_echo(text)}; expected 'euclidean' or 'pnorm:<q>'")
 
 
 @dataclass(frozen=True)
@@ -264,82 +274,64 @@ def _overflow(params: LospaParams) -> InvalidCost:
     )
 
 
-# Entries of _minkowski_stack's one temporary: whole matrices up to t = 256, rows beyond.
+# Entries per block of cost_stack, and of its one temporary: whole matrices
+# up to t = 256, rows of one matrix beyond.
 _BUILD_BLOCK_ENTRIES = 1 << 16
 
 
-def _minkowski_stack(xs: np.ndarray, ys: np.ndarray, q: float, out: np.ndarray) -> None:
-    """``cdist(x, y, "minkowski", p=q)`` for every pair of a stack, q in {1, 2}.
-
-    Components are added left to right, as cdist adds them, and q = 2 takes
-    one square root at the end, so each entry equals cdist's bit for bit.
-    """
-    n, t, nx = xs.shape
-    mats, rows = max(1, _BUILD_BLOCK_ENTRIES // t**2), min(t, max(1, _BUILD_BLOCK_ENTRIES // t))
-    scratch = np.empty(mats * rows * t)
-    out.fill(0.0)
-    for i in range(0, n, mats):
-        for j in range(0, t, rows):
-            x, y = xs[i : i + mats, j : j + rows], ys[i : i + mats]
-            block = out[i : i + mats, j : j + rows]
-            d = scratch[: block.size].reshape(block.shape)
-            for c in range(nx):
-                np.subtract(x[:, :, None, c], y[:, None, :, c], out=d)
-                (np.square if q == 2.0 else np.abs)(d, out=d)
-                block += d
-    if q == 2.0:
-        np.sqrt(out, out=out)
-
-
-def localization_costs(
+def cost_stack(
     xs: np.ndarray, ys: np.ndarray, params: LospaParams, out: np.ndarray
 ) -> np.ndarray:
-    """Fill an (n, t, t) stack with ``b(xs[i][j], ys[i][k])**p`` and return it.
+    """Fill ``out`` with the costs of the n pairs ``(xs[i], ys[i])`` and return it.
 
-    ``xs`` and ``ys`` are (n, t, n_x) stacks of validated states.  For
-    q in {1, 2} the stack is built in numpy, a block of rows at a time;
-    for any other q each pair is one ``base_metric.pairwise`` call.  Both
-    give the same bits.  ``params.alpha`` only appears in the overflow
-    message.
-
-    Raises:
-        InvalidCost: if a cost overflows the float64 range.
-    """
-    q = params.base_metric.q
-    with np.errstate(over="ignore"):
-        if q in (1.0, 2.0):
-            _minkowski_stack(xs, ys, q, out)
-        else:
-            for x, y, o in zip(xs, ys, out):
-                o[...] = params.base_metric.pairwise(x, y)
-        out **= params.p
-    if not math.isfinite(out.max()):
-        raise _overflow(params)
-    return out
-
-
-def add_label_penalty_inplace(C: np.ndarray, params: LospaParams) -> np.ndarray:
-    """Add ``alpha**p`` to every off-diagonal entry of an (n, t, t) stack.
-
-    Applied to localization costs this gives the labelled costs of
-    :func:`build_cost_matrix` exactly: each off-diagonal entry is one sum,
-    and the diagonal is restored untouched.
+    ``xs`` and ``ys`` are (n, t, n_x) stacks of validated states.  ``out[:n]``
+    gets ``b(xs[i][j], ys[i][k])**p``.  If ``out`` holds 2n matrices,
+    ``out[n:]`` gets the labelled costs of :func:`build_cost_matrix`: the
+    same plus ``alpha**p`` off the diagonal, one sum per entry.  Each block of
+    ``_BUILD_BLOCK_ENTRIES`` is finished while it is in cache.  For q in
+    {1, 2} numpy adds the components left to right and takes one square root
+    at q = 2, as cdist does; any other q is one ``base_metric.pairwise`` call
+    per matrix.  Both give cdist's bits.
 
     Raises:
         InvalidCost: if a cost overflows the float64 range.
     """
+    n, t, nx = xs.shape
+    q, p = params.base_metric.q, params.p
+    loc, labelled = out[:n], out[n:]
     try:
-        penalty = params.alpha**params.p
+        penalty = params.alpha**p if len(labelled) else 0.0
     except OverflowError:
         raise _overflow(params) from None
-    diagonal = C.diagonal(axis1=1, axis2=2).copy()
+    mats, rows = max(1, _BUILD_BLOCK_ENTRIES // t**2), min(t, max(1, _BUILD_BLOCK_ENTRIES // t))
+    scratch = np.empty(min(mats, n) * rows * t)
     with np.errstate(over="ignore"):
-        C += penalty
-    rows = np.arange(C.shape[1])
-    C[:, rows, rows] = diagonal
-    if not math.isfinite(C.max()):
+        for i in range(0, n, mats):
+            for j in range(0, t, rows):
+                x, y = xs[i : i + mats, j : j + rows], ys[i : i + mats]
+                block = loc[i : i + mats, j : j + rows]
+                if q in (1.0, 2.0):
+                    d = scratch[: block.size].reshape(block.shape)
+                    block.fill(0.0)
+                    for c in range(nx):
+                        np.subtract(x[:, :, None, c], y[:, None, :, c], out=d)
+                        (np.square if q == 2.0 else np.abs)(d, out=d)
+                        block += d
+                    if q == 2.0:
+                        np.sqrt(block, out=block)
+                else:
+                    for o, xm, ym in zip(block, x, y):
+                        o[...] = params.base_metric.pairwise(xm, ym)
+                block **= p
+                if len(labelled):
+                    np.add(block, penalty, out=labelled[i : i + mats, j : j + rows])
+    if len(labelled):
+        diagonal = np.arange(t)
+        labelled[:, diagonal, diagonal] = loc[:, diagonal, diagonal]
+    # The last half is entrywise no smaller than the first, so it holds any overflow.
+    if not math.isfinite(out[-n:].max()):
         raise _overflow(params)
-    return C
+    return out
 
 
 def _require_same_shape(a, b, names: tuple[str, str]) -> None:
@@ -370,8 +362,6 @@ def build_cost_matrix(
         InvalidCost: if a cost overflows the float64 range.
     """
     _require_same_shape(A, B, ("first", "second"))
-    t = A.num_targets
-    C = localization_costs(A.points[None], B.points[None], params, np.empty((1, t, t)))
-    if params.alpha > 0.0:
-        add_label_penalty_inplace(C, params)
-    return CostMatrix(C[0])
+    t, halves = A.num_targets, 2 if params.alpha > 0.0 else 1
+    C = cost_stack(A.points[None], B.points[None], params, np.empty((halves, t, t)))
+    return CostMatrix(C[-1])

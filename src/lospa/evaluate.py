@@ -19,7 +19,7 @@ import numpy as np
 
 from .assignment import SolverBackend, solve_stack
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
-from .core import LospaParams, _require_same_shape, add_label_penalty_inplace, localization_costs
+from .core import LospaParams, _require_same_shape, cost_stack
 from .errors import TimestepMismatch
 from .metric import _distance
 from .trajectory import Trajectory
@@ -208,11 +208,7 @@ def _solve_steps(
     totals = np.empty((2, T))  # unlabelled, labelled
     for lo in range(0, T, size):
         n = min(size, T - lo)
-        C = buffer[: halves * n]
-        localization_costs(est[lo : lo + n], truth[lo : lo + n], params, C[:n])
-        if halves == 2:
-            C[n:] = C[:n]
-            add_label_penalty_inplace(C[n:], params)
+        C = cost_stack(est[lo : lo + n], truth[lo : lo + n], params, buffer[: halves * n])
         chunk_perms, chunk_totals = solve_stack(C, backend)
         perms[lo : lo + n] = chunk_perms[-n:]
         totals[:, lo : lo + n] = chunk_totals.reshape(halves, n)  # at alpha = 0, into both

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -162,17 +161,17 @@ def _infer_shape_from_header(names: list[str], where: str) -> tuple[int, int]:
     return t, nx
 
 
-@contextmanager
-def _open_utf8(path: Path):
-    """``path`` opened as text; bytes that are not UTF-8 raise a ParseError naming it.
+def _read_utf8(path: Path) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise a ParseError naming it.
 
-    A leading byte order mark is skipped, as RFC 8259 allows a reader to do.
+    A leading byte order mark is skipped, as RFC 8259 allows a reader to do,
+    and "\\r\\n" and "\\r" are read as "\\n".
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # np.loadtxt skips these ASCII separators around a number, as it does spaces;
@@ -184,9 +183,7 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
     sidecar: tuple[int, int] | None = None
     linenos: list[int] = []  # 1-based line numbers of the header and the data rows
     rows: list[str] = []  # their text, stripped
-    with _open_utf8(path) as fh:
-        content = fh.read()  # universal newlines: "\r\n" and "\r" are read as "\n"
-    for lineno, line in enumerate(content.split("\n"), start=1):
+    for lineno, line in enumerate(_read_utf8(path).split("\n"), start=1):
         text = line.strip()
         if not text:
             continue
@@ -323,17 +320,15 @@ def _require_int(value, where: str) -> int:
 
 
 def _load_json(path: Path, t: int | None, nx: int | None) -> Trajectory:
-    with _open_utf8(path) as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_int)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        except UnicodeDecodeError:
-            raise  # a ValueError, named by _open_utf8
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        except RecursionError:
-            raise ParseError(f"{path}: nested too deeply") from None
+    text = _read_utf8(path)
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply") from None
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

@@ -13,6 +13,7 @@ from lospa import assignment
 from lospa import (
     CapExceeded,
     CostMatrix,
+    DimensionMismatch,
     InvalidCost,
     LospaParams,
     SolverBackend,
@@ -24,7 +25,7 @@ from lospa import (
     solve_stack,
 )
 from lospa.constants import REL_TOL_BACKENDS
-from lospa.core import add_label_penalty_inplace, localization_costs
+from lospa.core import cost_stack
 
 from helpers import enum_min_assignment, mts
 
@@ -35,6 +36,29 @@ def test_path_cost_left_to_right():
 
     assert path_cost(C, Permutation((0, 1))) == 5.0
     assert path_cost(C, Permutation((1, 0))) == 5.0
+
+
+@pytest.mark.parametrize(
+    "C, mapping",
+    [(np.arange(9.0).reshape(3, 3), (0, 1)), (np.eye(2), (0, 1, 2))],
+    ids=["pairing_too_short", "pairing_too_long"],
+)
+def test_path_cost_needs_one_pairing_entry_per_row(C, mapping):
+    from lospa import Permutation
+
+    message = f"pairing has {len(mapping)} entries, cost matrix has {len(C)} rows"
+    with pytest.raises(DimensionMismatch, match=message):
+        path_cost(C, Permutation(mapping))
+
+
+@pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)
+def test_integer_stack_solves_as_its_float_copy(backend):
+    # Rows 0 and 1 both find their minimum in column 0: one collision.
+    ints = np.array([[[0, 1, 2], [0, 1, 3], [5, 0, 9]]])
+    perms, totals = solve_stack(ints, backend)
+    ref_perms, ref_totals = solve_stack(ints.astype(float), backend)
+    assert perms.tolist() == ref_perms.tolist() == [[2, 0, 1]]
+    assert totals.dtype == float and totals.tolist() == ref_totals.tolist() == [2.0]
 
 
 class TestBruteForce:
@@ -356,11 +380,7 @@ def collision_stack(t, seed, pairs=((0, 1),)):
     est = truth + rng.normal(0.0, 0.1, size=truth.shape)
     for a, b in pairs:
         est[0, a] = truth[0, b] + rng.normal(0.0, 0.1, size=2)
-    C = np.empty((2, t, t))
-    localization_costs(est, truth, LospaParams(), C[:1])
-    C[1] = C[0]
-    add_label_penalty_inplace(C[1:], LospaParams())
-    return C
+    return cost_stack(est, truth, LospaParams(), np.empty((2, t, t)))
 
 
 def free_rows(C):

@@ -160,6 +160,19 @@ class TestComputeErrors:
         assert err.count("\n") == 1
         assert "overflow" in err and "NaN" not in err
 
+    def test_overflow_of_the_labelled_sum_alone_is_one_line_exit_2(self, tmp_path, capsys):
+        # b**p = 1.69e308 is finite; b**p + alpha**p = 2.69e308 is not.
+        states = tmp_path / "states.csv"
+        states.write_text(csv_text([(0, [[0.0], [1.3e154]])], t=2, nx=1))
+        code = main(
+            ["compute", "--truth", str(states), "--est", str(states),
+             "--p", "2", "--alpha", "1e154", "--metric", "euclidean"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
+        assert "overflow" in err
+
     def test_shape_flags_far_larger_than_the_file(self, tmp_path, capsys):
         one = tmp_path / "one.json"
         one.write_text(json.dumps(json_doc([(0, [[1.0]])], t=1, nx=1)))
@@ -218,6 +231,22 @@ class TestComputeErrors:
         err = capsys.readouterr().err
         assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
         assert len(err.encode()) < 1024 and "xxx…" in err
+
+    # int() and float() read '1_0' as 10 and non-ASCII digits as digits.
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p", "1_0"), ("--p", "\u0662"), ("--alpha", "0_5"), ("--alpha", "\uff10.5"),
+         ("--metric", "pnorm:2_0"), ("--metric", "pnorm:\u0662"), ("--t", "1_0"),
+         ("--t", "\u0663"), ("--nx", "1_0"), ("--nx", "\u0661")],
+        ids=["p_underscore", "p_arabic_indic", "alpha_underscore", "alpha_fullwidth",
+             "metric_underscore", "metric_arabic_indic", "t_underscore", "t_arabic_indic",
+             "nx_underscore", "nx_arabic_indic"],
+    )
+    def test_numeric_flag_must_be_plain_ascii(self, traj_files, capsys, flag, value):
+        truth, est = traj_files
+        assert run_compute(truth, est, flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lospa-eval: error: {flag}: ") and err.count("\n") == 1
 
     def test_missing_required_flag_is_usage_error(self, traj_files):
         truth, _ = traj_files

@@ -17,7 +17,7 @@ from lospa import (
     build_cost_matrix,
     parse_base_metric,
 )
-from lospa.core import add_label_penalty_inplace
+from lospa.core import cost_stack
 
 from helpers import mts, qnorm_dist
 
@@ -153,6 +153,17 @@ class TestBaseMetric:
         with pytest.raises(ValueError):
             parse_base_metric("pnorm:0.2")
 
+    @pytest.mark.parametrize("q", ["2_0", "1_5", "\u0662", " 2\u00a0"])
+    def test_parse_rejects_q_that_is_not_plain_ascii(self, q):
+        with pytest.raises(ValueError, match="bad q-norm exponent"):
+            parse_base_metric(f"pnorm:{q}")
+
+    @pytest.mark.parametrize("text", ["pnorm:" + "9" * 50_000 + "x", "y" * 50_000])
+    def test_parse_error_echoes_the_text_cut(self, text):
+        with pytest.raises(ValueError) as err:
+            parse_base_metric(text)
+        assert len(str(err.value)) < 200 and text[:39] + "…" in str(err.value)
+
 
 class TestLospaParams:
     def test_defaults(self):
@@ -271,8 +282,18 @@ class TestBuildCostMatrix:
         params = LospaParams(p=3.0, alpha=0.7, base_metric=BaseMetric.pnorm(1.5))
         localization = build_cost_matrix(A, B, params.with_alpha(0.0)).entries
         direct = build_cost_matrix(A, B, params).entries
-        stack = add_label_penalty_inplace(np.stack([localization] * 2), params)
+        stack = cost_stack(A.points[None], B.points[None], params, np.empty((2, 5, 5)))
         # One sum per entry: the same bits as adding alpha**p off the diagonal.
         expected = localization + params.alpha**params.p * (1.0 - np.eye(5))
         assert np.array_equal(direct, expected)
-        assert np.array_equal(stack, [expected, expected])
+        assert np.array_equal(stack, [localization, expected])
+
+    def test_overflow_of_the_labelled_sum_alone(self):
+        # b**p = 1.69e308 is finite; b**p + alpha**p = 2.69e308 is not.
+        A = mts([0.0, 1.3e154])
+        params = LospaParams(p=2.0, alpha=1e154)
+        assert np.isfinite(build_cost_matrix(A, A, params.with_alpha(0.0)).entries).all()
+        with pytest.raises(InvalidCost, match="overflows"):
+            build_cost_matrix(A, A, params)
+        with pytest.raises(InvalidCost, match="overflows"):
+            cost_stack(A.points[None], A.points[None], params, np.empty((2, 2, 2)))

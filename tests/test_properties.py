@@ -24,7 +24,7 @@ from lospa import (
 )
 from lospa.constants import ABS_TOL_TRIANGLE, REL_TOL_BACKENDS, REL_TOL_EXACT
 from lospa import core
-from lospa.core import localization_costs
+from lospa.core import cost_stack
 
 from helpers import enum_lospa, mts
 
@@ -163,22 +163,29 @@ def state_stacks(draw):
 @settings(deadline=None)
 @given(
     state_stacks(),
-    st.sampled_from([BaseMetric.euclidean(), BaseMetric.pnorm(1.0), BaseMetric.pnorm(2.0)]),
+    # pnorm:1.5 takes the per-matrix cdist path, also split into blocks of rows.
+    st.sampled_from(
+        [BaseMetric.euclidean(), BaseMetric.pnorm(1.0), BaseMetric.pnorm(2.0), BaseMetric.pnorm(1.5)]
+    ),
     st.sampled_from([1.0, 1.5, 2.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
     # Smaller blocks split small matrices into rows too, and stacks into groups
     # of matrices with a shorter last group (60 entries hold two 5 x 5 matrices).
     st.sampled_from([None, 1, 7, 60, 300]),
 )
-def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p, block):
+def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p, alpha, block):
+    """Both halves: cdist's b**p, and the same plus alpha**p off the diagonal."""
     xs, ys = stacks
-    params = LospaParams(p=p, alpha=1.0, base_metric=metric)
+    params = LospaParams(p=p, alpha=alpha, base_metric=metric)
     n, t, _ = xs.shape
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(core, "_BUILD_BLOCK_ENTRIES", block)
-        out = localization_costs(xs, ys, params, np.empty((n, t, t)))
+        out = cost_stack(xs, ys, params, np.empty((2 * n, t, t)))
     ref = np.array([cdist(x, y, "minkowski", p=metric.q) for x, y in zip(xs, ys)]) ** p
-    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    labelled = np.where(np.eye(t, dtype=bool), ref, ref + alpha**p)
+    assert np.array_equal(out[:n].view(np.int64), ref.view(np.int64))
+    assert np.array_equal(out[n:].view(np.int64), labelled.view(np.int64))
 
 
 @st.composite
