@@ -19,7 +19,10 @@ concurrent calls need no synchronization.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,6 +64,9 @@ def _cost_matrix(C: CostMatrix | np.ndarray) -> CostMatrix:
 def path_cost(C: CostMatrix | np.ndarray, perm: Permutation) -> float:
     """Total cost of a pairing, accumulated left-to-right in double precision.
 
+    This is the solvers' own sum (:func:`_totals` of a stack of one), so it
+    equals their totals bit for bit, the sign of a zero included.
+
     Raises DimensionMismatch unless the pairing has one entry per row.
     """
     entries = _cost_matrix(C).entries
@@ -68,10 +74,7 @@ def path_cost(C: CostMatrix | np.ndarray, perm: Permutation) -> float:
         raise DimensionMismatch(
             f"pairing has {len(perm)} entries, cost matrix has {len(entries)} rows"
         )
-    total = 0.0
-    for j, k in enumerate(perm):
-        total += float(entries[j, k])
-    return total
+    return float(_totals(entries[None], np.asarray(tuple(perm), dtype=np.intp)[None])[0])
 
 
 def _check_cap(t: int, cap: int) -> None:
@@ -179,11 +182,38 @@ def _enumerate(C: np.ndarray) -> np.ndarray:
 _THREAD_MIN_ENTRIES = 1 << 17
 
 
+def _lsap_module():
+    """The module that ``linear_sum_assignment`` is read from: scipy's LSAP extension.
+
+    The extension is loaded on its own, in about 1 ms, where the
+    ``scipy.optimize`` package would take most of a cold start.  It stays in
+    ``sys.modules``, so a later ``import scipy.optimize`` reuses it.  A scipy
+    without that extension is imported as the package.
+    """
+    name = "scipy.optimize._lsap"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # imports nothing
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(d, "optimize") for d in scipy.submodule_search_locations or ()]
+    )
+    if spec and isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            pass
+        else:
+            sys.modules[name] = module
+            return module
+    import scipy.optimize
+
+    return scipy.optimize
+
+
 def _lsap_perms(mats: list[np.ndarray]) -> list[np.ndarray]:
     """LSAP pairings in order; two or more large matrices are solved in threads."""
-    # Imported here: scipy.optimize is most of a cold start, and certified stacks never need it.
-    from scipy.optimize import linear_sum_assignment
-
+    linear_sum_assignment = _lsap_module().linear_sum_assignment
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may run on
     workers = min(len(mats), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers < 2 or mats[0].size < _THREAD_MIN_ENTRIES:
@@ -213,66 +243,14 @@ def _certified(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _repair(C: np.ndarray, cols: np.ndarray) -> bool:
-    """Complete row argmins ``cols`` with one collision to the unique optimum, in place.
-
-    Applies, and returns True, only if the row minima are strict and one row
-    claims a column an earlier row claims.  Under duals u = row minima and
-    v = 0 the other claims are optimal, and one shortest augmenting path
-    (Jonker and Volgenant, Computing 1987, as in LSAP) completes them.  Unless
-    tight edges close an alternating cycle, the optimum is unique, so LSAP
-    returns it too; "tight" has a tolerance that only adds edges.
-    """
-    t = len(cols)
-    hits, u = np.bincount(cols, minlength=t), C[np.arange(t), cols]  # u: the row minima
-    if np.count_nonzero(hits == 0) != 1 or np.count_nonzero(C == u[:, None]) != t:
-        return False
-    (_, free), sink = np.flatnonzero(cols == hits.argmax()), hits.argmin()  # row, column
-    col4row = np.where(np.arange(t) == free, sink, cols)  # sink stands in, so row4col inverts it
-    row4col = np.argsort(col4row)
-    # Path lengths: tentative in dist, final in shortest; scanned columns are inf in closed.
-    dist, closed, shortest = np.full(t, np.inf), np.zeros(t), np.full(t, np.inf)
-    path, i, j, minval = np.empty(t, dtype=np.intp), free, -1, 0.0
-    while j != sink:  # Dijkstra over reduced costs C - u - v, with v = 0 until it ends
-        reduced = C[i] + (minval - u[i]) + closed
-        path[reduced < dist] = i
-        np.minimum(dist, reduced, out=dist)
-        j = dist.argmin()
-        minval = shortest[j] = dist[j]
-        dist[j] = closed[j] = np.inf
-        i = row4col[j]
-    v = np.minimum(shortest - minval, 0.0)  # 0 on the columns not scanned, and on sink
-    u -= v[col4row]
-    u[free] += minval
-    i = -1
-    while i != free:  # flip the path from the free column back to the free row
-        i = path[j]
-        col4row[i], j = j, col4row[i]
-    # No operand exceeds this scale, and each dual carries at most t path steps.
-    tol = 8 * t * np.finfo(float).eps * (C.max() + minval)
-    ci, cj = np.nonzero(C <= (u + 2 * tol)[:, None])  # v <= 0, so no tight edge is missed
-    keep = (C[ci, cj] - u[ci] - v[cj] <= tol) & (col4row[ci] != cj)
-    # Tight edge (i, j) leads from row i to j's new row.  Edges into rows with
-    # no way on are dropped until none or a cycle, another optimum, is left.
-    src, dst = ci[keep], np.argsort(col4row)[cj[keep]]
-    while len(src):
-        on = np.bincount(src, minlength=t)[dst] > 0
-        if on.all():
-            return False
-        src, dst = src[on], dst[on]
-    cols[:] = col4row
-    return True
-
-
 def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.ndarray]:
     """Solve every matrix of an ``(n, t, t)`` stack of cost matrices.
 
     The optimal backend keeps a matrix's row argmins when they form a
-    permutation of strict row minima, and :func:`_repair` completes them
-    after one collision, up to the first uncertified matrix it cannot
-    settle; every other matrix, ties included, goes to scipy's
-    ``linear_sum_assignment``, imported on first use; two or more of at
-    least ``_THREAD_MIN_ENTRIES`` entries are solved in threads.
+    permutation of strict row minima; every other matrix, ties included,
+    goes to scipy's ``linear_sum_assignment``, loaded on first use by
+    :func:`_lsap_module`; two or more of at least ``_THREAD_MIN_ENTRIES``
+    entries are solved in threads.
 
     The brute-force backend extends prefixes one row at a time, for all
     matrices at once, summing each left to right exactly as
@@ -314,9 +292,6 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
     elif backend is SolverBackend.OPTIMAL:
         perms = C.argmin(axis=2)
         lsap = np.flatnonzero(~_certified(C, perms))
-        # The repair is slower than LSAP and pays only while it spares LSAP's import.
-        while len(lsap) and _repair(C[lsap[0]], perms[lsap[0]]):
-            lsap = lsap[1:]
         if len(lsap):
             perms[lsap] = _lsap_perms([C[i] for i in lsap])
     else:

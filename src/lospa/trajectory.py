@@ -9,7 +9,8 @@ per-target dimension n_x constant across every timestep:
   any other comment starting ``# t=`` is an error),
   by explicit arguments, or, failing both, are inferred from the
   ``x_<target>_<component>`` header names.  Explicit arguments win over the
-  sidecar, which wins over inference.  The header and rows are split on
+  sidecar, which wins over inference; header names all of that form must
+  give the same shape as what is declared.  The header and rows are split on
   commas, with no quoting.  Data rows hold plain ASCII numbers: no ``_``
   digit separators, no non-ASCII digits and no ASCII separator characters
   (``\x1c``-``\x1f``).
@@ -222,12 +223,19 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
         t = sidecar[0]
     if nx is None and sidecar is not None:
         nx = sidecar[1]
-    if t is None or nx is None:
-        inf_t, inf_nx = _infer_shape_from_header(header[1:], header_where)
-        t = inf_t if t is None else t
-        nx = inf_nx if nx is None else nx
+    # x_<target>_<component> names state a shape, which must be the one in use.
+    named = len(header) > 1 and all(_COLUMN_RE.match(name.strip()) for name in header[1:])
+    if named or t is None or nx is None:
+        shape = _infer_shape_from_header(header[1:], header_where)
+        t = shape[0] if t is None else t
+        nx = shape[1] if nx is None else nx
     if t < 1 or nx < 1:
         raise ParseError(f"{path}: t and nx must be >= 1, got t={t} nx={nx}")
+    if named and (t, nx) != shape:
+        raise ParseError(
+            f"{header_where}: header names give t={shape[0]} nx={shape[1]}, "
+            f"but the declared shape is t={t} nx={nx}"
+        )
     if len(header) != 1 + t * nx:
         raise ParseError(
             f"{header_where}: header has {len(header)} columns, "

@@ -1,20 +1,20 @@
 """Fixtures shared by the test modules."""
 
-import importlib
-
 import pytest
+
+from lospa import assignment
 
 
 @pytest.fixture
 def lsap_calls(monkeypatch):
     """List that receives a copy of every matrix handed to the LSAP solver."""
-    optimize = importlib.import_module("scipy.optimize")
-    real = optimize.linear_sum_assignment
+    lsap = assignment._lsap_module()
+    real = lsap.linear_sum_assignment
     calls = []
 
     def counted(C):
         calls.append(C.copy())
         return real(C)
 
-    monkeypatch.setattr(optimize, "linear_sum_assignment", counted)
+    monkeypatch.setattr(lsap, "linear_sum_assignment", counted)
     return calls

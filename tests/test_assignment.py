@@ -61,6 +61,14 @@ def test_integer_stack_solves_as_its_float_copy(backend):
     assert totals.dtype == float and totals.tolist() == ref_totals.tolist() == [2.0]
 
 
+# Its cheapest total is -0.0, which a sum started at +0.0 would lose.
+NEGATIVE_ZERO_DIAGONAL = np.array([[-0.0, 1.0], [1.0, -0.0]])
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 class TestBruteForce:
     def test_single_target(self):
         sol = solve_brute_force(np.array([[0.0]]))
@@ -110,9 +118,9 @@ class TestBruteForce:
 
     def test_total_cost_is_path_cost_exactly(self):
         rng = np.random.default_rng(12)
-        C = rng.uniform(0.0, 5.0, size=(6, 6))
-        sol = solve_brute_force(C)
-        assert sol.total_cost == path_cost(C, sol.perm)
+        for C in (rng.uniform(0.0, 5.0, size=(6, 6)), NEGATIVE_ZERO_DIAGONAL):
+            sol = solve_brute_force(C)
+            assert same_bits(sol.total_cost, path_cost(C, sol.perm))
 
 
 @st.composite
@@ -216,9 +224,9 @@ class TestOptimal:
 
     def test_total_cost_is_path_cost_exactly(self):
         rng = np.random.default_rng(14)
-        C = rng.uniform(0.0, 5.0, size=(7, 7))
-        sol = solve_optimal(C)
-        assert sol.total_cost == path_cost(C, sol.perm)
+        for C in (rng.uniform(0.0, 5.0, size=(7, 7)), NEGATIVE_ZERO_DIAGONAL):
+            sol = solve_optimal(C)
+            assert same_bits(sol.total_cost, path_cost(C, sol.perm))
 
 
 class TestCertificate:
@@ -289,15 +297,7 @@ def no_pool(*args, **kwargs):
 
 
 class TestThreadedLsap:
-    """LSAP solves of large uncertified matrices run in threads, with serial results.
-
-    The one-collision repair is off here: on these random stacks it would
-    take some matrices from LSAP, and the counts below are of LSAP's share.
-    """
-
-    @pytest.fixture(autouse=True)
-    def no_repair(self, monkeypatch):
-        monkeypatch.setattr(assignment, "_repair", lambda C, cols: False)
+    """LSAP solves of large uncertified matrices run in threads, with serial results."""
 
     @pytest.mark.parametrize("t", [2, 5, 20])
     def test_pool_matches_serial_bit_for_bit(self, monkeypatch, lsap_calls, pools, t):
@@ -347,9 +347,8 @@ class TestThreadedLsap:
         assert pools == ([2] if cpus == 2 else [])
 
     def test_worker_exception_comes_out_unchanged(self, monkeypatch, pools):
-        import scipy.optimize
-
-        real = scipy.optimize.linear_sum_assignment
+        lsap = assignment._lsap_module()
+        real = lsap.linear_sum_assignment
         boom = ArithmeticError("raised by one worker")
 
         def failing(C):
@@ -357,7 +356,7 @@ class TestThreadedLsap:
                 raise boom
             return real(C)
 
-        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", failing)
+        monkeypatch.setattr(lsap, "linear_sum_assignment", failing)
         monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
         set_cpus(monkeypatch, 2)
         stack = np.random.default_rng(75).uniform(0.0, 5.0, size=(4, 6, 6))
@@ -397,14 +396,14 @@ def assert_lsap_pairings(C, perms, totals):
 
 
 class TestRepair:
-    """Argmins that one collision keeps from a permutation are completed without LSAP."""
+    """Argmins that collide fail the certificate, and LSAP settles the matrix."""
 
     @pytest.mark.parametrize("t", [3, 5, 8, 20, 512])
     def test_one_collision_matches_lsap_bit_for_bit(self, lsap_calls, t):
         C = collision_stack(t, seed=80 + t)
         assert free_rows(C) == [1, 1]
         perms, totals = solve_stack(C, SolverBackend.OPTIMAL)
-        assert lsap_calls == []
+        assert len(lsap_calls) == 2
         assert_lsap_pairings(C, perms, totals)
         if t <= 8:
             brute = solve_stack(C, SolverBackend.BRUTE_FORCE)
@@ -421,31 +420,21 @@ class TestRepair:
         if case == "tied_row_minimum":
             C[:, 4, 5] = C[:, 4, 4]  # row 4 keeps its argmin, but not a strict one
         if case == "duplicate_rows":
-            C[1, 0] = C[1, 1]  # the labelled matrix, solved after the other, has two optima
-        assert free_rows(C) == ([2, 2] if case == "two_free_rows" else [1, 1])
+            C = C[1:]  # the labelled matrix alone, with two optima
+            C[0, 0] = C[0, 1]
+        assert free_rows(C) == [2 if case == "two_free_rows" else 1] * calls
         perms, totals = solve_stack(C, SolverBackend.OPTIMAL)
         assert len(lsap_calls) == calls
         assert_lsap_pairings(C, perms, totals)
 
     def test_tie_lost_to_rounding_reaches_lsap(self, lsap_calls):
-        # 0.3 + 0.4 + 1.2 and 0.2 + 0.4 + 1.3 tie in exact arithmetic; the
-        # float duals show the tie only through the tolerance.
+        # 0.3 + 0.4 + 1.2 and 0.2 + 0.4 + 1.3 tie in exact arithmetic, but
+        # not in float64; the pairing is still LSAP's.
         C = np.array([[[0.3, 0.2, 2.1], [1.7, 1.7, 0.4], [1.3, 1.2, 1.7]]])
         assert free_rows(C) == [1]
         perms, totals = solve_stack(C, SolverBackend.OPTIMAL)
         assert len(lsap_calls) == 1
         assert_lsap_pairings(C, perms, totals)
-
-    def test_repair_stops_at_the_first_matrix_it_cannot_settle(self, lsap_calls):
-        # Once LSAP is needed anyway, it is the faster solver for the rest.
-        C = collision_stack(6, seed=90)
-        tied = C[0].copy()
-        tied[0] = tied[1]
-        stack = np.stack([C[0], tied, C[1]])
-        assert free_rows(stack) == [1, 1, 1]
-        perms, totals = solve_stack(stack, SolverBackend.OPTIMAL)
-        assert [M.tolist() for M in lsap_calls] == [tied.tolist(), C[1].tolist()]
-        assert_lsap_pairings(stack, perms, totals)
 
 
 class TestSolveDispatch:

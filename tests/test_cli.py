@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lospa import __version__, assignment
+from lospa import SolverBackend, __version__, solve_stack
 from lospa.cli import main
 
 from helpers import ESTIMATE_POINTS, TRUTH_POINTS, csv_text, json_doc
@@ -172,6 +172,15 @@ class TestComputeErrors:
         assert code == 2
         assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
         assert "overflow" in err
+
+    def test_header_names_contradicting_the_sidecar(self, traj_files, tmp_path, capsys):
+        truth, _ = traj_files
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# t=3 nx=1\nk,x_1_1,x_1_2,x_1_3\n0,-10,0,10\n")
+        assert run_compute(truth, bad) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 2: header names give t=1 nx=3, but the declared shape is t=3 nx=1" in err
 
     def test_shape_flags_far_larger_than_the_file(self, tmp_path, capsys):
         one = tmp_path / "one.json"
@@ -354,6 +363,55 @@ sys.exit(code)
 """
 
 
+# A PathFinder that finds no LSAP extension once, as on a scipy whose layout
+# has none; the import system's own later lookups see the real one.
+_LSAP_WITHOUT_THE_EXTENSION = """\
+import importlib.machinery, json, sys
+import numpy as np
+from lospa import assignment
+PathFinder = importlib.machinery.PathFinder
+real, missed = PathFinder.find_spec.__func__, []
+
+def find_spec(cls, name, path=None, target=None):
+    if name == "scipy.optimize._lsap" and not missed:
+        missed.append(name)
+        return None
+    return real(cls, name, path, target)
+
+PathFinder.find_spec = classmethod(find_spec)
+module = assignment._lsap_module()
+stack = np.array(json.loads(sys.argv[1]))
+result = module.__name__, [module.linear_sum_assignment(C)[1].tolist() for C in stack]
+"""
+
+_LOAD_THEN_IMPORT_SCIPY_OPTIMIZE = """\
+import sys
+from lospa import assignment
+lsap = assignment._lsap_module()
+before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+import scipy.optimize
+result = before, [
+    scipy.optimize.linear_sum_assignment is assignment._lsap_module().linear_sum_assignment,
+    sys.modules["scipy.optimize._lsap"] is lsap,
+]
+"""
+
+
+def run_script(code, *argv):
+    """``result`` of a script run in a fresh interpreter, and the scipy modules it imported."""
+    tail = (
+        "import json, sys\n"
+        'modules = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")\n'
+        "print(json.dumps([result, modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + tail, *map(str, argv)],
+        capture_output=True, text=True, timeout=60, env=source_tree_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def run_fresh(*argv):
     """Exit status, stderr and imported scipy modules of one fresh CLI run."""
     proc = subprocess.run(
@@ -397,9 +455,9 @@ def compute_args(truth, est, out, metric="euclidean", backend="optimal", p="2", 
 class TestScipyOnDemand:
     """scipy is imported only for cdist, at q other than 1 and 2, or for LSAP.
 
-    LSAP solves a matrix that fails the row-minimum certificate, unless its
-    row minima are strict and its argmins collide once: the optimal backend
-    repairs those in numpy until a matrix of the stack needs LSAP.
+    LSAP solves every matrix that fails the row-minimum certificate, and
+    loads scipy's LSAP extension module alone, not the ``scipy.optimize``
+    package.
     """
 
     def test_version_and_demo(self):
@@ -423,7 +481,7 @@ class TestScipyOnDemand:
         optimal, brute = tmp_path / "optimal.json", tmp_path / "brute.json"
         code, err, modules = run_fresh(*compute_args(truth, est, optimal))
         assert (code, err) == (0, "")
-        assert "scipy.optimize" in modules
+        assert modules == ["scipy.optimize._lsap"]
         assert main(compute_args(str(truth), str(est), str(brute), backend="brute")) == 0
         doc, ref = json.loads(optimal.read_text()), json.loads(brute.read_text())
         assert (doc.pop("backend"), ref.pop("backend")) == ("optimal", "brute")
@@ -431,19 +489,23 @@ class TestScipyOnDemand:
 
     @pytest.mark.parametrize("t", [5, 512])
     @pytest.mark.parametrize("estimate", ["near", "random"])
-    def test_one_collision_imports_scipy_only_for_a_random_estimate(
-        self, tmp_path, monkeypatch, lsap_calls, estimate, t
-    ):
+    def test_one_collision_loads_only_the_lsap_extension(self, tmp_path, estimate, t):
         truth, est = write_trajectories(tmp_path, estimate, t=t, nx=2, T=4, collide=True)
-        out, ref = tmp_path / "r.json", tmp_path / "lsap.json"
-        code, err, modules = run_fresh(*compute_args(truth, est, out))
+        code, err, modules = run_fresh(*compute_args(truth, est, tmp_path / "r.json"))
         assert (code, err) == (0, "")
-        assert "scipy.optimize" in modules if estimate == "random" else modules == []
-        # The same report with every uncertified matrix solved by LSAP.
-        monkeypatch.setattr(assignment, "_repair", lambda C, cols: False)
-        assert main(compute_args(str(truth), str(est), str(ref))) == 0
-        assert len(lsap_calls) >= 2  # both halves of the colliding step, at least
-        assert out.read_bytes() == ref.read_bytes()
+        assert modules == ["scipy.optimize._lsap"]
+
+    def test_without_the_extension_the_package_gives_the_same_pairings(self):
+        stack = np.random.default_rng(76).uniform(0.0, 5.0, size=(3, 6, 6))
+        stack_arg = json.dumps(stack.tolist())
+        (module, perms), modules = run_script(_LSAP_WITHOUT_THE_EXTENSION, stack_arg)
+        assert module == "scipy.optimize" and "scipy.optimize" in modules
+        assert perms == solve_stack(stack, SolverBackend.OPTIMAL)[0].tolist()
+
+    def test_a_later_scipy_optimize_import_reuses_the_extension(self):
+        (before, same), modules = run_script(_LOAD_THEN_IMPORT_SCIPY_OPTIMIZE)
+        assert before == ["scipy.optimize._lsap"]
+        assert same == [True, True] and "scipy.optimize" in modules
 
     def test_overflow_prints_only_the_error_line(self, tmp_path):
         truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"

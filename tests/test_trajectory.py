@@ -61,6 +61,28 @@ class TestCsv:
         with pytest.raises(ParseError):
             load_trajectory(path, "csv")  # no sidecar and names not inferrable
 
+    @pytest.mark.parametrize(
+        "sidecar, flags",
+        [("# t=2 nx=3\n", {}), ("", {"t": 6, "nx": 1}), ("# t=3 nx=2\n", {"t": 2, "nx": 3})],
+        ids=["sidecar", "flags", "flags_over_a_matching_sidecar"],
+    )
+    def test_header_names_contradicting_the_shape_rejected(self, tmp_path, sidecar, flags):
+        # Read as declared, x_2_1 would land in target 1, or every column in a target of its own.
+        path = tmp_path / "traj.csv"
+        path.write_text(sidecar + "k,x_1_1,x_1_2,x_2_1,x_2_2,x_3_1,x_3_2\n0,1,2,3,4,5,6\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path, "csv", **flags)
+        declared = "t=2 nx=3" if sidecar else "t=6 nx=1"
+        assert f"line {2 if sidecar else 1}: header names give t=3 nx=2" in str(err.value)
+        assert f"declared shape is {declared}" in str(err.value)
+
+    def test_header_names_agreeing_with_the_shape_load(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# t=3 nx=2\nk,x_1_1,x_1_2,x_2_1,x_2_2,x_3_1,x_3_2\n0,1,2,3,4,5,6\n")
+        for flags in ({}, {"t": 3, "nx": 2}):
+            traj = load_trajectory(path, "csv", **flags)
+            assert traj.states[0].tolist() == [[1, 2], [3, 4], [5, 6]]
+
     def test_sidecar_anywhere_before_data(self, tmp_path):
         text = "k,x_1_1\n# t=1 nx=1\n0,5.0\n"
         path = tmp_path / "traj.csv"
