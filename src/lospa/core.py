@@ -279,6 +279,27 @@ def _overflow(params: LospaParams) -> InvalidCost:
 _BUILD_BLOCK_ENTRIES = 1 << 16
 
 
+def _minkowski_costs(
+    a: np.ndarray, b: np.ndarray, q: float, p: float, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with ``b(a, b)**p`` for q in {1, 2} and return it.
+
+    ``a`` and ``b`` broadcast to ``out.shape`` plus a last axis of n_x
+    components; ``scratch`` has ``out``'s shape.  The components' ``|d|`` or
+    ``d**2`` are added left to right, the first written straight into
+    ``out``, then come one square root at q = 2 and the power p: cdist's
+    bits, and the same bits for an entry wherever it is computed.
+    """
+    term = np.square if q == 2.0 else np.abs
+    term(np.subtract(a[..., 0], b[..., 0], out=out), out=out)
+    for c in range(1, a.shape[-1]):
+        out += term(np.subtract(a[..., c], b[..., c], out=scratch), out=scratch)
+    if q == 2.0:
+        np.sqrt(out, out=out)
+    out **= p
+    return out
+
+
 def cost_stack(
     xs: np.ndarray, ys: np.ndarray, params: LospaParams, out: np.ndarray
 ) -> np.ndarray:
@@ -289,14 +310,13 @@ def cost_stack(
     ``out[n:]`` gets the labelled costs of :func:`build_cost_matrix`: the
     same plus ``alpha**p`` off the diagonal, one sum per entry.  Each block of
     ``_BUILD_BLOCK_ENTRIES`` is finished while it is in cache.  For q in
-    {1, 2} numpy adds the components left to right and takes one square root
-    at q = 2, as cdist does; any other q is one ``base_metric.pairwise`` call
-    per matrix.  Both give cdist's bits.
+    {1, 2} each block is one :func:`_minkowski_costs` call; any other q is
+    one ``base_metric.pairwise`` call per matrix.  Both give cdist's bits.
 
     Raises:
         InvalidCost: if a cost overflows the float64 range.
     """
-    n, t, nx = xs.shape
+    n, t, _ = xs.shape
     q, p = params.base_metric.q, params.p
     loc, labelled = out[:n], out[n:]
     try:
@@ -312,17 +332,11 @@ def cost_stack(
                 block = loc[i : i + mats, j : j + rows]
                 if q in (1.0, 2.0):
                     d = scratch[: block.size].reshape(block.shape)
-                    block.fill(0.0)
-                    for c in range(nx):
-                        np.subtract(x[:, :, None, c], y[:, None, :, c], out=d)
-                        (np.square if q == 2.0 else np.abs)(d, out=d)
-                        block += d
-                    if q == 2.0:
-                        np.sqrt(block, out=block)
+                    _minkowski_costs(x[:, :, None], y[:, None], q, p, block, d)
                 else:
                     for o, xm, ym in zip(block, x, y):
                         o[...] = params.base_metric.pairwise(xm, ym)
-                block **= p
+                    block **= p
                 if len(labelled):
                     np.add(block, penalty, out=labelled[i : i + mats, j : j + rows])
     if len(labelled):

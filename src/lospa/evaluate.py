@@ -19,7 +19,7 @@ import numpy as np
 
 from .assignment import SolverBackend, solve_stack
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
-from .core import LospaParams, _require_same_shape, cost_stack
+from .core import LospaParams, _minkowski_costs, _require_same_shape, cost_stack
 from .errors import TimestepMismatch
 from .metric import _distance
 from .trajectory import Trajectory
@@ -64,6 +64,10 @@ _STEP = """\
 # Cost entries per chunk buffer, both halves counted (2 MiB of float64): at
 # alpha > 0 about five thousand steps at t = 5, a single step from t = 257 on.
 _CHUNK_ENTRIES = 1 << 18
+
+# Most in-band pairs per target that _sweep computes before it gives up: a
+# near-correct step has about one, an unrelated one a sizeable share of t.
+_SWEEP_PAIRS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +203,95 @@ def _solve_steps(
     in one reused (2n, t, t) buffer and one ``solve_stack`` call: rows [:n]
     hold the localization costs, rows [n:] the same plus the labelling
     penalty.  At alpha = 0 the halves coincide, so only the first is built.
+    Where a chunk holds a single step, on the optimal backend at q in
+    {1, 2}, the step is first offered to :func:`_sweep`; a step it certifies
+    is neither built nor solved.
     """
     T, t, _ = est.shape
     halves = 2 if params.alpha > 0.0 else 1
     size = max(1, _CHUNK_ENTRIES // (halves * t * t))
+    sweep = size == 1 and backend is SolverBackend.OPTIMAL and params.base_metric.q in (1.0, 2.0)
     buffer = np.empty((halves * min(size, T), t, t))
     perms = np.empty((T, t), dtype=np.intp)
     totals = np.empty((2, T))  # unlabelled, labelled
     for lo in range(0, T, size):
+        total = _sweep(est[lo], truth[lo], params) if sweep else None
+        if total is not None:
+            perms[lo] = np.arange(t)
+            totals[:, lo] = total
+            continue
         n = min(size, T - lo)
         C = cost_stack(est[lo : lo + n], truth[lo : lo + n], params, buffer[: halves * n])
         chunk_perms, chunk_totals = solve_stack(C, backend)
         perms[lo : lo + n] = chunk_perms[-n:]
         totals[:, lo : lo + n] = chunk_totals.reshape(halves, n)  # at alpha = 0, into both
     return perms, totals[1], totals[0]
+
+
+def _sweep(x: np.ndarray, y: np.ndarray, params: LospaParams) -> float | None:
+    """The identity's total if ``solve_stack``'s certificate would keep it, else None.
+
+    ``x`` and ``y`` are one step's (t, n_x) estimate and truth; q is 1 or 2.
+    The certificate keeps the identity when every diagonal cost is its row's
+    strict minimum.  The identity is then the unique optimum of both halves,
+    and both totals are the diagonal summed left to right.  This decides
+    that without the t x t costs:
+
+    * A truth can undercut the diagonal cost of estimate i only if its first
+      coordinate lies within ``reach[i]`` of x[i]'s (the diagonal distance
+      plus a relative margin).  ``searchsorted`` on the sorted truths finds
+      these bands, and their pairs get their exact costs, the bits
+      ``cost_stack`` gives them.
+    * A truth outside the band differs from x[i] by more than ``reach[i]``
+      in the first coordinate, as the band's edges are rounded to nearest
+      and the truths are floats.  Every operation of a cost is monotone
+      except the power, which is faithful, so its cost is at least
+      ``floor[i]``, the cost of ``reach[i]`` along one axis, less an ulp.
+      ``floor`` must clear the diagonal by a few ulps, which needs normal
+      diagonal costs: zero and subnormal ones give up.
+    * No cost exceeds the one across the states' bounding box.  Unless twice
+      that plus alpha**p is finite, it gives up, and ``cost_stack`` raises
+      ``InvalidCost`` if a cost does overflow.
+
+    It also gives up once the bands hold more than ``_SWEEP_PAIRS * t`` pairs.
+    """
+    t = len(x)
+    q, p = params.base_metric.q, params.p
+
+    def costs(a, b):
+        return _minkowski_costs(a, b, q, p, np.empty(len(a)), np.empty(len(a)))
+
+    try:
+        penalty = params.alpha**p
+    except OverflowError:
+        return None
+    with np.errstate(over="ignore"):
+        corners = np.concatenate((x, y))
+        widest = float(costs(corners.max(axis=0)[None], corners.min(axis=0)[None])[0])
+        if not math.isfinite(2.0 * (widest + penalty)):
+            return None
+        diag = costs(x, y)
+        if not diag.min() >= np.finfo(float).tiny:
+            return None
+        reach = diag ** (1.0 / p) * (1.0 + 2.0**-20)
+        floor = costs(reach[:, None], np.zeros((1, 1)))
+        if not (floor > diag * (1.0 + 2.0**-50)).all():
+            return None
+        order = np.argsort(y[:, 0])
+        firsts = y[order, 0]
+        start = np.searchsorted(firsts, x[:, 0] - reach, "left")
+        stop = np.searchsorted(firsts, x[:, 0] + reach, "right")
+    counts = stop - start
+    pairs = int(counts.sum())
+    if pairs > _SWEEP_PAIRS * t:
+        return None
+    rows = np.repeat(np.arange(t), counts)
+    cols = order[np.arange(pairs) - np.repeat(np.cumsum(counts) - counts - start, counts)]
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    if not (costs(x[rows], y[cols]) > diag[rows]).all():
+        return None
+    return float(np.cumsum(diag)[-1])
 
 
 # --- built-in demo ---------------------------------------------------------

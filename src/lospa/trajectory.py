@@ -134,17 +134,19 @@ def _digits(text: str, where: str) -> int:
         raise ParseError(f"{where}: a number of {len(text)} digits is too large") from None
 
 
-def _infer_shape_from_header(names: list[str], where: str) -> tuple[int, int]:
+def _infer_shape_from_header(
+    names: list[str], matches: list[re.Match | None], where: str
+) -> tuple[int, int]:
     """Recover (t, n_x) from ``x_<target>_<component>`` column names.
 
+    ``matches`` holds ``_COLUMN_RE``'s match of each stripped name.
     ``where`` names the file and the header line in error messages.
     """
     hint = "(declare them via '# t=.. nx=..' or flags)"
     if not names:
         raise ParseError(f"{where}: cannot infer t and nx: the header has no target columns {hint}")
     pairs = []
-    for name in names:
-        m = _COLUMN_RE.match(name.strip())
+    for name, m in zip(names, matches):
         if m is None:
             raise ParseError(
                 f"{where}: cannot infer t and nx: column {_echo(name)} is not of the form "
@@ -224,9 +226,10 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
     if nx is None and sidecar is not None:
         nx = sidecar[1]
     # x_<target>_<component> names state a shape, which must be the one in use.
-    named = len(header) > 1 and all(_COLUMN_RE.match(name.strip()) for name in header[1:])
+    matches = [_COLUMN_RE.match(name.strip()) for name in header[1:]]
+    named = len(header) > 1 and all(matches)
     if named or t is None or nx is None:
-        shape = _infer_shape_from_header(header[1:], header_where)
+        shape = _infer_shape_from_header(header[1:], matches, header_where)
         t = shape[0] if t is None else t
         nx = shape[1] if nx is None else nx
     if t < 1 or nx < 1:

@@ -2,13 +2,18 @@
 
 import importlib
 import json
+import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lospa import (
     BaseMetric,
+    CapExceeded,
     DimensionMismatch,
+    InvalidCost,
     EvalReport,
     LospaParams,
     SolverBackend,
@@ -18,10 +23,12 @@ from lospa import (
     run_demo,
     solve_stack,
 )
+from lospa.core import cost_stack
+from lospa.cli import main
 from lospa.constants import REL_TOL_BACKENDS, REL_TOL_EXACT
 
 from helpers import (
-    ESTIMATE_POINTS, TRUTH_POINTS, enum_lospa, expected_table_value, mts, qnorm_dist
+    ESTIMATE_POINTS, TRUTH_POINTS, csv_text, enum_lospa, expected_table_value, mts, qnorm_dist
 )
 
 # The package re-exports the function under the module's name.
@@ -238,6 +245,180 @@ class TestChunkedEvaluation:
         whole = evaluate(*args).to_json()
         monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 1)
         assert evaluate(*args).to_json() == whole
+
+
+def dense(*args, **kwargs):
+    """``evaluate`` with the sweep off: every step is built and solved as a stack."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate_module, "_sweep", lambda *_: None)
+        return evaluate(*args, **kwargs)
+
+
+def sweep_results(monkeypatch):
+    """List that receives what every ``_sweep`` call returns."""
+    real, results = evaluate_module._sweep, []
+
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(evaluate_module, "_sweep", recorded)
+    return results
+
+
+def spread(t, scale=10.0):
+    """(t, 1) truths ``scale`` apart, and estimates 1% of that off them."""
+    truth = scale * np.arange(t, dtype=float)[:, None]
+    noise = np.random.default_rng(t).uniform(-0.01, 0.01, size=truth.shape)
+    return truth, truth + scale * noise
+
+
+def far_target(t, far):
+    """``spread(t)`` with the last target moved to ``far``, 1e-12 of it off its truth."""
+    truth, est = spread(t)
+    if far is not None:
+        truth[-1], est[-1] = far, far * (1 + 1e-12)
+    return truth, est
+
+
+class TestSweep:
+    """One-step chunks certified by the sorted sweep, against the dense referee."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.sampled_from([257, 362, 363, 400]),
+        nx=st.integers(1, 3),
+        alpha=st.sampled_from([0.0, 0.5]),
+        q=st.sampled_from([1.0, 2.0, 3.0]),
+        p=st.sampled_from([1.0, 2.0, 7.0]),
+        noise=st.sampled_from([1e-3, 0.3, 5.0]),
+        duplicates=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_bytes_match_the_dense_path(self, t, nx, alpha, q, p, noise, duplicates, seed):
+        # Truths about 10 apart; step 1 swaps one pair of estimates.
+        rng = np.random.default_rng(seed)
+        truth = rng.uniform(0.0, 10.0 * t ** (1 / nx), size=(2, t, nx))
+        for _ in range(duplicates):
+            i, j = rng.choice(t, size=2, replace=False)
+            truth[:, i] = truth[:, j]
+        est = truth + rng.normal(scale=noise, size=truth.shape)
+        est[1, [0, 1]] = est[1, [1, 0]]
+        args = (Trajectory(range(2), truth), Trajectory(range(2), est),
+                LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q)))
+        assert evaluate(*args).to_json() == dense(*args).to_json()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_cost_stack_only_for_uncertified_steps(self, monkeypatch, alpha):
+        # Every other step swaps a pair: steps 0, 2 and 4 are not the identity.
+        truth, near, _ = near_and_random(np.random.default_rng(66), 6, 400)
+        args = (Trajectory(range(6), truth), Trajectory(range(6), near), LospaParams(alpha=alpha))
+        expected = dense(*args).to_json()
+        builds = []
+
+        def counted(xs, ys, params, out):
+            builds.append(len(xs))
+            return cost_stack(xs, ys, params, out)
+
+        monkeypatch.setattr(evaluate_module, "cost_stack", counted)
+        results = sweep_results(monkeypatch)
+        assert evaluate(*args).to_json() == expected
+        assert [r is not None for r in results] == [False, True] * 3
+        assert builds == [1, 1, 1]
+
+    def test_exact_estimates_fall_back(self, monkeypatch):
+        # Zero diagonal costs: the identity is still the strict optimum.
+        truth, _ = spread(300)
+        args = (Trajectory([0], [truth]), Trajectory([0], [truth]), LospaParams(alpha=0.5))
+        results = sweep_results(monkeypatch)
+        report = evaluate(*args)
+        assert results == [None]
+        assert report.to_json() == dense(*args).to_json()
+        assert report.lospa.tolist() == report.ospa.tolist() == [0.0]
+
+    def test_coordinates_near_a_million_with_tiny_noise(self, monkeypatch):
+        # The noise is about one ulp of 1e6, so the band's edges round
+        # to within an ulp or two of the estimate's first coordinate.
+        t = 300
+        rng = np.random.default_rng(67)
+        truth = np.zeros((t, 2))
+        truth[:, 0] = 1e6 + 1e-8 * np.arange(t)
+        est = truth + [1e-10, 0.0] * rng.normal(size=(t, 2))
+        est[:, 1] = rng.uniform(1e-10, 2e-10, size=t)  # no diagonal cost is zero
+        args = (Trajectory([0], [truth]), Trajectory([0], [est]), LospaParams(alpha=0.5))
+        results = sweep_results(monkeypatch)
+        assert evaluate(*args).to_json() == dense(*args).to_json()
+        assert results[0] is not None
+
+    # Each estimate is ``noise`` off its truth in the second component: at
+    # p = 50 every diagonal cost underflows to 0, at p = 7 to a subnormal.
+    @pytest.mark.parametrize("p, noise", [(50.0, 1e-9), (7.0, 1e-45)])
+    def test_underflowing_powers_fall_back(self, monkeypatch, p, noise):
+        first, _ = spread(300, scale=1e-3)
+        truth, est = np.hstack((first, 0.0 * first)), np.hstack((first, 0.0 * first + noise))
+        args = (Trajectory([0], [truth]), Trajectory([0], [est]), LospaParams(p=p, alpha=0.5))
+        results = sweep_results(monkeypatch)
+        assert evaluate(*args).to_json() == dense(*args).to_json()
+        assert results == [None]
+
+    def test_ties_hidden_by_subnormal_squares_fall_back(self, monkeypatch, lsap_calls):
+        # The squares of distances near 1e-160 are subnormal: estimate 0 is
+        # 1e-4 farther from truth 1 than from truth 0, beyond its band, yet
+        # both costs round to the same float.  The tie sends the
+        # localization half to LSAP; alpha breaks it in the labelled half.
+        t, s = 300, math.sqrt(2000 * 5e-324)
+        truth = np.zeros((t, 2))
+        truth[:, 0] = 1e-150 * np.arange(t)
+        truth[:2] = [[0.0, s], [s * (1 + 1e-4), 0.0]]
+        est = truth + [0.0, 1e-152]
+        est[:2] = [[0.0, 0.0], [truth[1, 0] + 1e-152, 0.0]]
+        args = (Trajectory([0], [truth]), Trajectory([0], [est]), LospaParams(p=1.0, alpha=0.5))
+        expected = dense(*args).to_json()
+        lsap_calls.clear()
+        results = sweep_results(monkeypatch)
+        assert evaluate(*args).to_json() == expected
+        assert results == [None]
+        assert len(lsap_calls) == 1
+
+    # Only costs to the far last target overflow: (1e110)**3 from the
+    # first estimate, and at alpha = 1e154 the labelled sum alone
+    # (1.69e308 + 1e308).  At alpha = 1e200, alpha**p itself does.
+    @pytest.mark.parametrize(
+        "p, alpha, far", [(3.0, 0.5, 1e110), (2.0, 1e154, 1.3e154), (2.0, 1e200, None)]
+    )
+    def test_overflow_off_the_diagonal_still_raises(self, p, alpha, far):
+        truth, est = far_target(300, far)
+        args = (Trajectory([0], [truth]), Trajectory([0], [est]), LospaParams(p=p, alpha=alpha))
+        with pytest.raises(InvalidCost) as swept:
+            evaluate(*args)
+        with pytest.raises(InvalidCost) as built:
+            dense(*args)
+        assert str(swept.value) == str(built.value) == (
+            f"cost b(a, b)**p + alpha**p overflows the float64 range (p={p:g}, alpha={alpha:g})"
+        )
+
+    def test_overflow_exits_2_through_the_cli(self, tmp_path, capsys):
+        paths = tmp_path / "truth.csv", tmp_path / "est.csv"
+        for path, states in zip(paths, far_target(300, 1e110)):
+            path.write_text(csv_text([(0, states.tolist())], t=300, nx=1))
+        code = main(["compute", "--truth", str(paths[0]), "--est", str(paths[1]),
+                     "--p", "3", "--alpha", "0.5", "--metric", "euclidean"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "lospa-eval: error: cost b(a, b)**p + alpha**p overflows the float64 range "
+            "(p=3, alpha=0.5)\n"
+        )
+
+    def test_brute_backend_keeps_its_cap(self, monkeypatch):
+        truth, est = spread(300)
+        args = (Trajectory([0], [truth]), Trajectory([0], [est]), LospaParams(alpha=0.5))
+        results = sweep_results(monkeypatch)
+        with pytest.raises(CapExceeded):
+            evaluate(*args, backend=SolverBackend.BRUTE_FORCE)
+        assert results == []
+        evaluate(*args)
+        assert results[0] is not None
 
 
 class TestReportJson:
