@@ -13,11 +13,15 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .assignment import SolverBackend, solve_stack
+from .assignment import (
+    _WORKERS, SolverBackend, _certified, _lsap, _Scheduler, _totals, solve_stack
+)
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import LospaParams, _minkowski_costs, _require_same_shape, cost_stack
 from .errors import TimestepMismatch
@@ -68,6 +72,13 @@ _CHUNK_ENTRIES = 1 << 18
 # Most in-band pairs per target that _sweep computes before it gives up: a
 # near-correct step has about one, an unrelated one a sizeable share of t.
 _SWEEP_PAIRS = 4
+
+# Most one-step buffers alive at once: one being built while each LSAP
+# worker holds one.
+_STEP_BUFFERS = 1 + _WORKERS
+
+# k of the guard t * alpha**p <= 2**k * L(psi) in _reuses_labelled.
+_GUARD_BITS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,29 +214,130 @@ def _solve_steps(
     in one reused (2n, t, t) buffer and one ``solve_stack`` call: rows [:n]
     hold the localization costs, rows [n:] the same plus the labelling
     penalty.  At alpha = 0 the halves coincide, so only the first is built.
-    Where a chunk holds a single step, on the optimal backend at q in
-    {1, 2}, the step is first offered to :func:`_sweep`; a step it certifies
-    is neither built nor solved.
+    Where a chunk holds a single step, on the optimal backend,
+    :func:`_solve_single_steps` takes over.
     """
     T, t, _ = est.shape
     halves = 2 if params.alpha > 0.0 else 1
     size = max(1, _CHUNK_ENTRIES // (halves * t * t))
-    sweep = size == 1 and backend is SolverBackend.OPTIMAL and params.base_metric.q in (1.0, 2.0)
-    buffer = np.empty((halves * min(size, T), t, t))
     perms = np.empty((T, t), dtype=np.intp)
     totals = np.empty((2, T))  # unlabelled, labelled
+    if size == 1 and backend is SolverBackend.OPTIMAL:
+        _solve_single_steps(est, truth, params, halves, perms, totals)
+        return perms, totals[1], totals[0]
+    buffer = np.empty((halves * min(size, T), t, t))
     for lo in range(0, T, size):
-        total = _sweep(est[lo], truth[lo], params) if sweep else None
-        if total is not None:
-            perms[lo] = np.arange(t)
-            totals[:, lo] = total
-            continue
         n = min(size, T - lo)
         C = cost_stack(est[lo : lo + n], truth[lo : lo + n], params, buffer[: halves * n])
         chunk_perms, chunk_totals = solve_stack(C, backend)
         perms[lo : lo + n] = chunk_perms[-n:]
         totals[:, lo : lo + n] = chunk_totals.reshape(halves, n)  # at alpha = 0, into both
     return perms, totals[1], totals[0]
+
+
+def _solve_single_steps(
+    est: np.ndarray, truth: np.ndarray, params: LospaParams, halves: int,
+    perms: np.ndarray, totals: np.ndarray,
+) -> None:
+    """Fill ``perms[k]`` and ``totals[:, k]`` one step at a time, on the optimal backend.
+
+    At q in {1, 2} each step is first offered to :func:`_sweep`; a step it
+    certifies is neither built nor solved.  Any other step is built into a
+    (halves, t, t) buffer and its row-minimum certificate read, as in
+    ``solve_stack``.  Each built step is one job for the run's LSAP
+    :class:`_Scheduler`, :func:`_settle`, sized by the entries LSAP reads:
+    none if the certificate settles both halves, so that the scheduler
+    starts threads only for two consecutive built steps that need LSAP.
+
+    Buffers come from a free list, the most recently freed first.  A new
+    one is allocated only while the scheduler runs jobs in threads and
+    every other buffer is held by one of them, up to ``_STEP_BUFFERS``:
+    then the next step is built while they solve.  Otherwise the oldest
+    job is finished first, inline unless it is in the pool, and its
+    buffer is reused.
+    """
+    T, t, _ = est.shape
+    sweep = params.base_metric.q in (1.0, 2.0)
+    free, held = [], deque()  # spare buffers; (step, buffer, job) in step order
+    with _Scheduler() as lsap:
+
+        def finish_oldest():
+            k, buffer, job = held.popleft()
+            perms[k], totals[:, k] = job.result()
+            free.append(buffer)
+
+        for k in range(T):
+            total = _sweep(est[k], truth[k], params) if sweep else None
+            if total is not None:
+                perms[k] = np.arange(t)
+                totals[:, k] = total
+                continue
+            if not free:
+                if held and (len(held) == _STEP_BUFFERS or not lsap.pooled):
+                    finish_oldest()
+                else:
+                    free.append(np.empty((halves, t, t)))
+            buffer = free.pop()
+            C = cost_stack(est[k : k + 1], truth[k : k + 1], params, buffer)
+            step_perms = C.argmin(axis=2)
+            certified = _certified(C, step_perms)
+            work = 0 if certified.all() else t * t  # entries LSAP reads
+            job = lsap.submit(
+                partial(_settle, C, step_perms, certified, params.alpha**params.p), work
+            )
+            if work:
+                held.append((k, buffer, job))
+            else:
+                perms[k], totals[:, k] = job.result()
+                free.append(buffer)
+        while held:
+            finish_oldest()
+
+
+def _settle(
+    C: np.ndarray, perms: np.ndarray, certified: np.ndarray, penalty: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step's labelled pairing and its (unlabelled, labelled) totals.
+
+    ``C`` is the step's (halves, t, t) costs, ``perms`` their row argmins,
+    kept where ``certified``, and ``penalty`` is alpha**p.  LSAP solves the
+    labelled matrix, then the localization one unless the labelled pairing
+    serves it.  At alpha = 0 the one matrix is both halves.
+    """
+    if not certified[-1]:
+        perms[-1] = _lsap(C[-1])
+    if not certified[0] and len(C) == 2:
+        psi = perms[1]
+        perms[0] = psi if _reuses_labelled(C[0], psi, penalty) else _lsap(C[0])
+    return perms[-1], _totals(C, perms)
+
+
+def _reuses_labelled(loc: np.ndarray, psi: np.ndarray, penalty: float) -> bool:
+    """Whether the labelled optimum ``psi`` may stand as the optimum of ``loc``.
+
+    In exact arithmetic, a labelled optimum with no fixed point is also a
+    localization optimum.  With L the localization total and Lab the
+    labelled one, Lab(sigma) = L(sigma) + a (t - fix sigma) for every
+    pairing sigma, where a = alpha**p and fix counts fixed points; so
+    L(psi) + t a = Lab(psi) <= Lab(sigma) <= L(sigma) + t a.
+
+    The labelled entries are rounded, fl(b + a), which can hide
+    differences in b below about u a, u = 2**-53.  So ``psi`` is taken only
+    when it fixes no target and passes the guard t a <= 2**k L(psi), with
+    k = ``_GUARD_BITS``.  Then, with sigma* the localization optimum, the
+    stored labelled totals are within a factor 1 +- u of Lab, which gives
+    (1 - u) (L(psi) + t a) <= (1 + u) (L(sigma*) + t a), so
+    (1 - u) L(psi) <= (1 + u) L(sigma*) + 2 u t a
+                    <= (1 + u) L(sigma*) + 2**(k + 1) u L(psi),
+    and L(psi) <= L(sigma*) (1 + u) / (1 - u (1 + 2**(k + 1))): relative
+    to the optimum, within 2 u (1 + 2**k) to first order, 1.5e-11 at
+    k = 16, below ``REL_TOL_BACKENDS``.  The sums themselves are rounded
+    as on the LSAP path.  Above the guard, LSAP solves ``loc`` itself.
+    """
+    t = len(psi)
+    if (psi == np.arange(t)).any():
+        return False
+    return t * penalty <= 2.0**_GUARD_BITS * float(_totals(loc[None], psi[None])[0])
 
 
 def _sweep(x: np.ndarray, y: np.ndarray, params: LospaParams) -> float | None:

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import concurrent.futures
+
 import pytest
 
 from lospa import assignment
@@ -18,3 +20,17 @@ def lsap_calls(monkeypatch):
 
     monkeypatch.setattr(lsap, "linear_sum_assignment", counted)
     return calls
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """List that receives the worker count of every thread pool constructed."""
+    real = concurrent.futures.ThreadPoolExecutor
+    made = []
+
+    def counted(workers):
+        made.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    return made

@@ -8,6 +8,8 @@ from these functions.
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 from lospa import MultiTargetState
 
@@ -103,3 +105,15 @@ WRONG_PAIRINGS = [0, 2, 3]
 def expected_table_value(row, alpha):
     """Closed-form labelled distance for estimate ``row`` (1-based) at alpha."""
     return math.sqrt(0.1**2 + WRONG_PAIRINGS[row - 1] * alpha**2 / 3.0)
+
+
+def source_tree_env():
+    """Environment whose PYTHONPATH puts this checkout's ``src`` first."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def set_cpus(monkeypatch, n):
+    """Make the process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import threading
 
 import hypothesis.strategies as st
 import numpy as np
@@ -27,7 +28,7 @@ from lospa import (
 from lospa.constants import REL_TOL_BACKENDS
 from lospa.core import cost_stack
 
-from helpers import enum_min_assignment, mts
+from helpers import enum_min_assignment, mts, set_cpus
 
 
 def test_path_cost_left_to_right():
@@ -273,31 +274,12 @@ class TestCertificate:
             solve_stack(np.zeros((1, 2, 3)), SolverBackend.OPTIMAL)
 
 
-def set_cpus(monkeypatch, n):
-    """Make the process look as if it may run on ``n`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """List that receives the worker count of every thread pool constructed."""
-    real = concurrent.futures.ThreadPoolExecutor
-    made = []
-
-    def counted(workers):
-        made.append(workers)
-        return real(workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
-    return made
-
-
 def no_pool(*args, **kwargs):
     raise AssertionError("a thread pool was constructed")
 
 
 class TestThreadedLsap:
-    """LSAP solves of large uncertified matrices run in threads, with serial results."""
+    """The LSAP scheduler runs large uncertified matrices in threads, with serial results."""
 
     @pytest.mark.parametrize("t", [2, 5, 20])
     def test_pool_matches_serial_bit_for_bit(self, monkeypatch, lsap_calls, pools, t):
@@ -315,12 +297,12 @@ class TestThreadedLsap:
         for a, b in zip(serial, pooled):
             assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
-    def test_workers_capped_by_the_uncertified_count(self, monkeypatch, pools):
+    def test_workers_capped_at_two(self, monkeypatch, pools):
         monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
         set_cpus(monkeypatch, 8)
         stack = np.random.default_rng(74).uniform(0.0, 5.0, size=(3, 6, 6))
         solve_stack(stack, SolverBackend.OPTIMAL)
-        assert pools == [3]
+        assert pools == [assignment._WORKERS] == [2]
 
     @pytest.mark.parametrize(
         "cpus, min_entries, certified",
@@ -345,6 +327,23 @@ class TestThreadedLsap:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         solve_stack(np.random.default_rng(73).uniform(size=(4, 5, 5)), SolverBackend.OPTIMAL)
         assert pools == ([2] if cpus == 2 else [])
+
+    @pytest.mark.parametrize(
+        "sizes, pooled",
+        [((9, 9), [0, 1]), ((9, 0, 9), []), ((9, 1, 9), []), ((0, 9, 9, 9), [1, 2, 3])],
+        ids=["consecutive", "certified_between", "small_between", "late"],
+    )
+    def test_pool_starts_at_two_consecutive_large_jobs(self, monkeypatch, pools, sizes, pooled):
+        # A job of 9 entries is large.  The first of two consecutive large
+        # jobs is still deferred when the second comes, so both run in threads.
+        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 9)
+        set_cpus(monkeypatch, 2)
+        main = threading.get_ident()
+        with assignment._Scheduler() as scheduler:
+            jobs = [scheduler.submit(threading.get_ident, size) for size in sizes]
+            threaded = [i for i, job in enumerate(jobs) if job.result() != main]
+        assert threaded == pooled
+        assert pools == ([2] if pooled else [])
 
     def test_worker_exception_comes_out_unchanged(self, monkeypatch, pools):
         lsap = assignment._lsap_module()

@@ -14,7 +14,7 @@ import pytest
 from lospa import SolverBackend, __version__, solve_stack
 from lospa.cli import main
 
-from helpers import ESTIMATE_POINTS, TRUTH_POINTS, csv_text, json_doc
+from helpers import ESTIMATE_POINTS, TRUTH_POINTS, csv_text, json_doc, source_tree_env
 
 
 @pytest.fixture
@@ -278,13 +278,6 @@ class TestVersionCommand:
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip() == f"lospa {__version__}"
-
-
-def source_tree_env():
-    """Environment whose PYTHONPATH puts this checkout's ``src`` first."""
-    root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def console_script(name):

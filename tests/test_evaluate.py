@@ -3,6 +3,9 @@
 import importlib
 import json
 import math
+import subprocess
+import sys
+import threading
 
 import hypothesis.strategies as st
 import numpy as np
@@ -28,7 +31,8 @@ from lospa.cli import main
 from lospa.constants import REL_TOL_BACKENDS, REL_TOL_EXACT
 
 from helpers import (
-    ESTIMATE_POINTS, TRUTH_POINTS, csv_text, enum_lospa, expected_table_value, mts, qnorm_dist
+    ESTIMATE_POINTS, TRUTH_POINTS, csv_text, enum_lospa, expected_table_value, mts, qnorm_dist,
+    set_cpus, source_tree_env,
 )
 
 # The package re-exports the function under the module's name.
@@ -419,6 +423,201 @@ class TestSweep:
         assert results == []
         evaluate(*args)
         assert results[0] is not None
+
+
+def two_solve(*args, **kwargs):
+    """``evaluate`` with the fixed-point rule off: LSAP solves every uncertified half."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate_module, "_reuses_labelled", lambda *_: False)
+        return evaluate(*args, **kwargs)
+
+
+def rule_results(monkeypatch):
+    """List that receives what every ``_reuses_labelled`` call returns."""
+    real, results = evaluate_module._reuses_labelled, []
+
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(evaluate_module, "_reuses_labelled", recorded)
+    return results
+
+
+def swapped_clusters(t, spread, seed, gap=0.0):
+    """(t, 2) truths and estimates in two clusters 1000 apart, ``spread`` wide.
+
+    Estimate j sits in the cluster that does not hold truth j, so every
+    labelled optimum keeps no target.  The estimates lie at random in their
+    cluster, so their argmins collide and both halves go to LSAP, and
+    ``gap`` off the truths' line along the second axis.
+    """
+    rng = np.random.default_rng(seed)
+    m = t // 2
+    truth = np.zeros((t, 2))
+    truth[:, 0] = np.concatenate((1000.0 + spread * np.arange(m), spread * np.arange(t - m)))
+    est = np.full((t, 2), gap)
+    est[:m, 0] = spread * rng.uniform(0, t - m, m)
+    est[m:, 0] = 1000.0 + spread * rng.uniform(0, m, t - m)
+    return truth, est
+
+
+def one_step(truth, est):
+    return Trajectory([0], [truth]), Trajectory([0], [est])
+
+
+class TestFixedPointRule:
+    """A labelled pairing that fixes no target serves the unlabelled half, behind a guard."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        t=st.integers(257, 420),
+        alpha=st.sampled_from([0.5, 1.0, 30.0]),
+        p=st.sampled_from([1.0, 2.0, 3.0]),
+        q=st.sampled_from([1.0, 2.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_bytes_match_the_two_solve_path(self, t, alpha, p, q, seed):
+        # One random step and one near-correct step, each a chunk of its own.
+        truth, near, random = near_and_random(np.random.default_rng(seed), 2, t)
+        est = np.stack((random[0], near[1]))
+        args = (Trajectory(range(2), truth), Trajectory(range(2), est),
+                LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q)))
+        assert evaluate(*args).to_json() == two_solve(*args).to_json()
+
+    @pytest.mark.parametrize("t", [2, 3, 5, 8])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_small_t_matches_the_oracle(self, monkeypatch, t, p):
+        monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 1)  # one step per chunk
+        results = rule_results(monkeypatch)
+        # Even steps keep no target at the labelled optimum, odd ones are random.
+        T = 12
+        truth, est = np.random.default_rng(80 + t).uniform(0.0, 3.0, size=(2, T, t, 2))
+        for i in range(0, T, 2):
+            truth[i], est[i] = swapped_clusters(t, 1.0, seed=i)
+        params = LospaParams(p=p, alpha=0.3)
+        report = evaluate(Trajectory(range(T), truth), Trajectory(range(T), est), params)
+        for i, (A, B) in enumerate(zip(est.tolist(), truth.tolist())):
+            lospa, ospa = enum_lospa(A, B, p, 0.3), enum_lospa(A, B, p, 0.0)
+            assert report.lospa[i] == pytest.approx(lospa, rel=REL_TOL_BACKENDS)
+            assert report.ospa[i] == pytest.approx(ospa, rel=REL_TOL_BACKENDS)
+        # At t <= 3 a cluster holds too few targets for argmins to collide.
+        assert True in results or t <= 3
+
+    def test_guard_refuses_labelled_entries_that_round_alike(self, monkeypatch):
+        # Every in-cluster cost is 2**-17 plus less than 1e-17, so every
+        # in-cluster labelled entry rounds to 1 + 2**-17: the labelled
+        # optimum is an arbitrary one of them, and t * alpha**p is just
+        # under 2**17 times its localization total.  The guard must send
+        # the step to LSAP.
+        truth, est = swapped_clusters(300, 1e-11, seed=81, gap=2.0**-8.5)
+        args = (*one_step(truth, est), LospaParams(p=2.0, alpha=1.0))
+        results = rule_results(monkeypatch)
+        report = evaluate(*args)
+        assert results == [False]
+        assert report.to_json() == two_solve(*args).to_json()
+        # With a guard one bit looser, that arbitrary pairing would stand.
+        monkeypatch.setattr(evaluate_module, "_GUARD_BITS", 17)
+        assert evaluate(*args).ospa[0] > report.ospa[0]
+
+    def test_lsap_calls_per_step(self, lsap_calls):
+        t, params = 300, LospaParams(alpha=1.0)
+        # No target kept: the labelled solve serves both halves.
+        truth, est = swapped_clusters(t, 0.1, seed=82)
+        report = evaluate(*one_step(truth, est), params)
+        assert not (report.perms[0] == np.arange(t)).any()
+        assert len(lsap_calls) == 1
+        # A target kept: the unlabelled half needs its own solve.
+        lsap_calls.clear()
+        truth, _, random = near_and_random(np.random.default_rng(83), 1, t)
+        random[0, 0] = truth[0, 0]
+        report = evaluate(*one_step(truth[0], random[0]), params)
+        assert report.perms[0, 0] == 0
+        assert len(lsap_calls) == 2
+        # Exact estimates: the certificate settles both halves.
+        lsap_calls.clear()
+        evaluate(*one_step(truth[0], truth[0]), params)
+        assert lsap_calls == []
+
+
+class TestScheduledSteps:
+    """One-step chunks share one LSAP scheduler and at most three buffers per run."""
+
+    @pytest.mark.parametrize("cpus, buffers", [(1, 1), (2, 3)])
+    def test_buffers_in_use(self, monkeypatch, cpus, buffers):
+        # Six random steps: with two CPUs, from step 1 on their jobs run in
+        # threads while the next step is built.
+        set_cpus(monkeypatch, cpus)
+        t = 400
+        truth, _, est = near_and_random(np.random.default_rng(86), 6, t)
+        args = Trajectory(range(6), truth), Trajectory(range(6), est), LospaParams(alpha=0.5)
+        made = []
+        real = np.empty
+
+        def counted(shape, *rest, **kwargs):
+            if shape == (2, t, t):
+                made.append(shape)
+            return real(shape, *rest, **kwargs)
+
+        monkeypatch.setattr(evaluate_module.np, "empty", counted)
+        report = evaluate(*args)
+        monkeypatch.setattr(evaluate_module.np, "empty", real)
+        assert len(made) == buffers
+        assert report.to_json() == two_solve(*args).to_json()
+
+    def test_overflow_with_jobs_in_flight(self, monkeypatch, tmp_path, capsys, pools):
+        # Steps 0-3 are random, so from step 1 on their LSAP jobs run in
+        # threads; step 4's build overflows.
+        set_cpus(monkeypatch, 2)
+        t = 400
+        truth, _, est = near_and_random(np.random.default_rng(84), 5, t, nx=1)
+        truth[4], est[4] = far_target(t, 1e110)
+        params = LospaParams(p=3.0, alpha=0.5)
+        with pytest.raises(InvalidCost) as err:
+            evaluate(Trajectory(range(5), truth), Trajectory(range(5), est), params)
+        message = "cost b(a, b)**p + alpha**p overflows the float64 range (p=3, alpha=0.5)"
+        assert str(err.value) == message
+        assert pools == [2]
+        assert not any(th.name.startswith("ThreadPoolExecutor") for th in threading.enumerate())
+        paths = tmp_path / "truth.csv", tmp_path / "est.csv"
+        for path, states in zip(paths, (truth, est)):
+            path.write_text(csv_text(list(enumerate(states.tolist())), t=t, nx=1))
+        code = main(["compute", "--truth", str(paths[0]), "--est", str(paths[1]),
+                     "--p", "3", "--alpha", "0.5", "--metric", "euclidean"])
+        assert code == 2
+        assert capsys.readouterr().err == f"lospa-eval: error: {message}\n"
+        assert pools == [2, 2]
+        assert not any(th.name.startswith("ThreadPoolExecutor") for th in threading.enumerate())
+
+    # The steps in ``random_steps`` of a near-correct input are random.  In
+    # the last case, step 2 is built and certified between them.
+    @pytest.mark.parametrize(
+        "random_steps, pooled", [([0], False), ([0, 1], True), ([1, 3], False)]
+    )
+    def test_one_uncertified_step_imports_no_pool(self, tmp_path, random_steps, pooled):
+        t, T = 400, 4
+        truth, near, random = near_and_random(np.random.default_rng(85), T, t)
+        near[1::2] = truth[1::2] + 0.01  # every step certified ...
+        near[2] = truth[2]  # ... step 2 by the certificate, not the sweep
+        near[random_steps] = random[random_steps]
+        paths = tmp_path / "truth.csv", tmp_path / "est.csv"
+        for path, states in zip(paths, (truth, near)):
+            path.write_text(csv_text(list(enumerate(states.tolist())), t=t, nx=2))
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from lospa.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "compute", "--truth", str(paths[0]),
+             "--est", str(paths[1]), "--p", "2", "--alpha", "1", "--metric", "euclidean",
+             "--out", str(tmp_path / "report.json")],
+            capture_output=True, text=True, timeout=60, env=source_tree_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{pooled}\n"
 
 
 class TestReportJson:
