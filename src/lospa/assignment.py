@@ -19,13 +19,13 @@ concurrent calls need no synchronization.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -178,23 +178,16 @@ def _enumerate(C: np.ndarray) -> np.ndarray:
     return cols[order[first]].astype(np.intp)
 
 
-# Fewest entries per matrix for which LSAP runs in threads.  On scipy 1.17.1,
-# two threads took 0.53-0.75x the serial time from t = 288 up, 1.05-8x at t <= 200.
-_THREAD_MIN_ENTRIES = 1 << 17
-
-# Most threads the LSAP scheduler starts.  A one-step chunk holds one
-# (2, t, t) buffer while its job runs, so this also bounds the buffers
-# that evaluate keeps.
-_WORKERS = 2
-
-
+@functools.cache
 def _lsap_module():
     """The module that ``linear_sum_assignment`` is read from: scipy's LSAP extension.
 
     The extension is loaded on its own, in about 1 ms, where the
-    ``scipy.optimize`` package would take most of a cold start.  It stays in
-    ``sys.modules``, so a later ``import scipy.optimize`` reuses it.  A scipy
-    without that extension is imported as the package.
+    ``scipy.optimize`` package would take most of a cold start.  It is
+    kept here, not in ``sys.modules``, where its loader registers it: a
+    later ``import scipy.optimize`` then loads the extension as a plain
+    import does, and binds it as the package's ``_lsap``.  A scipy without
+    that extension is imported as the package.
     """
     name = "scipy.optimize._lsap"
     if name in sys.modules:
@@ -210,7 +203,7 @@ def _lsap_module():
         except ImportError:
             pass
         else:
-            sys.modules[name] = module
+            sys.modules.pop(name, None)
             return module
     import scipy.optimize
 
@@ -220,87 +213,6 @@ def _lsap_module():
 def _lsap(M: np.ndarray) -> np.ndarray:
     """The LSAP pairing of one square matrix, from the module :func:`_lsap_module` loads."""
     return _lsap_module().linear_sum_assignment(M)[1]
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on: its affinity mask, else the CPU count."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-class _Job:
-    """One job of a :class:`_Scheduler`: deferred until it is run inline or sent to a pool."""
-
-    def __init__(self, fn, large: bool):
-        self.large = large
-        self._fn = fn
-        self._future = None
-        self._done = False
-        self._value = None
-
-    def send(self, pool) -> None:
-        """Hand the job to ``pool``, unless it has already run."""
-        if not self._done and self._future is None:
-            self._future = pool.submit(self._fn)
-
-    def result(self):
-        """The job's return value: from its pool, or from running it inline now, once."""
-        if self._future is not None:
-            return self._future.result()
-        if not self._done:
-            self._value, self._done = self._fn(), True
-        return self._value
-
-
-class _Scheduler:
-    """Runs the LSAP jobs of one run, in order: inline, or in one thread pool.
-
-    A job is a callable and the number of cost entries its LSAP solves
-    read.  It is deferred until its result is read, and then runs inline,
-    unless two jobs of at least ``_THREAD_MIN_ENTRIES`` entries would be in
-    flight together: when such a job is submitted right after another, and
-    the process may run on two or more CPUs, the scheduler starts one pool
-    of up to ``_WORKERS`` threads for the rest of the run.  The earlier job
-    goes to it if it has not run yet, and so does every later large job, as
-    it is submitted; scipy releases the GIL while it solves.  A lone large
-    job, small jobs and a one-CPU process never import
-    ``concurrent.futures``.
-
-    Jobs return their results, so what a job computes does not depend on
-    where it ran.  Leaving the ``with`` block cancels the jobs the pool has
-    not started and waits for the running ones, so no worker outlives it.
-    """
-
-    def __init__(self):
-        self._pool = None
-        self._last = None  # the job submitted last
-
-    @property
-    def pooled(self) -> bool:
-        """Whether large jobs now run in threads while the caller goes on."""
-        return self._pool is not None
-
-    def submit(self, fn, entries: int) -> _Job:
-        job = _Job(fn, entries >= _THREAD_MIN_ENTRIES)
-        last, self._last = self._last, job
-        if self._pool is None and job.large and last is not None and last.large:
-            cpus = _cpus()
-            if cpus >= 2:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _lsap_module()  # loaded here, not by two workers at once
-                self._pool = ThreadPoolExecutor(min(_WORKERS, cpus))
-                last.send(self._pool)
-        if self._pool is not None and job.large:
-            job.send(self._pool)
-        return job
-
-    def __enter__(self) -> "_Scheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _certified(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -328,8 +240,8 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
     The optimal backend keeps a matrix's row argmins when they form a
     permutation of strict row minima; every other matrix, ties included,
     goes to scipy's ``linear_sum_assignment``, loaded on first use by
-    :func:`_lsap_module`, through a :class:`_Scheduler` of its own: two or
-    more of at least ``_THREAD_MIN_ENTRIES`` entries are solved in threads.
+    :func:`_lsap_module`.  The matrices are solved one after another, in
+    the calling thread.
 
     The brute-force backend extends prefixes one row at a time, for all
     matrices at once, summing each left to right exactly as
@@ -370,11 +282,8 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         perms = _enumerate(C)
     elif backend is SolverBackend.OPTIMAL:
         perms = C.argmin(axis=2)
-        lsap = np.flatnonzero(~_certified(C, perms))
-        with _Scheduler() as scheduler:
-            jobs = [scheduler.submit(partial(_lsap, C[i]), C[i].size) for i in lsap]
-            for i, job in zip(lsap, jobs):
-                perms[i] = job.result()
+        for i in np.flatnonzero(~_certified(C, perms)):
+            perms[i] = _lsap(C[i])
     else:
         raise ValueError(f"unknown solver backend {backend!r}")
     return perms, _totals(C, perms)

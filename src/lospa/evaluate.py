@@ -13,15 +13,14 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .assignment import (
-    _WORKERS, SolverBackend, _certified, _lsap, _Scheduler, _totals, solve_stack
-)
+from .assignment import SolverBackend, _certified, _lsap, _lsap_module, _totals, solve_stack
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import LospaParams, _minkowski_costs, _require_same_shape, cost_stack
 from .errors import TimestepMismatch
@@ -73,8 +72,16 @@ _CHUNK_ENTRIES = 1 << 18
 # near-correct step has about one, an unrelated one a sizeable share of t.
 _SWEEP_PAIRS = 4
 
-# Most one-step buffers alive at once: one being built while each LSAP
-# worker holds one.
+# Fewest entries per matrix for which LSAP runs in threads.  On scipy 1.17.1,
+# two threads took 0.53-0.75x the serial time from t = 288 up, 1.05-8x at t <= 200.
+_THREAD_MIN_ENTRIES = 1 << 17
+
+# Most threads the LSAP scheduler starts.  A one-step chunk holds one
+# (2, t, t) buffer while its job runs, so this also bounds the buffers kept.
+_WORKERS = 2
+
+# Most chunk buffers alive at once: one being built while each LSAP worker
+# holds one.
 _STEP_BUFFERS = 1 + _WORKERS
 
 # k of the guard t * alpha**p <= 2**k * L(psi) in _reuses_labelled.
@@ -205,111 +212,153 @@ def evaluate(
     )
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, else the CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+class _Scheduler:
+    """Runs the LSAP jobs of one run, in order: inline, or in one thread pool.
+
+    A job is a callable and the number of cost entries its LSAP solves
+    read.  It runs when it is submitted, inline, unless it and the job
+    before it both have at least ``_THREAD_MIN_ENTRIES`` entries: then, if
+    the process may run on two or more CPUs, the scheduler starts one pool
+    of up to ``_WORKERS`` threads for the rest of the run, and that job and
+    every later large one go to it; scipy releases the GIL while it solves.
+    A lone large job, small jobs and a one-CPU process never import
+    ``concurrent.futures``.
+
+    Jobs return their results, so what a job computes does not depend on
+    where it ran.  Leaving the ``with`` block cancels the jobs the pool has
+    not started and waits for the running ones, so no worker outlives it.
+    """
+
+    def __init__(self):
+        self._pool = None
+        self._last_large = False  # whether the job submitted last was large
+
+    @property
+    def pooled(self) -> bool:
+        """Whether large jobs now run in threads while the caller goes on."""
+        return self._pool is not None
+
+    def submit(self, fn, entries: int):
+        """Run ``fn``, or hand it to the pool; returns a callable that gives its result."""
+        large = entries >= _THREAD_MIN_ENTRIES
+        if self._pool is None and large and self._last_large and (cpus := _cpus()) >= 2:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _lsap_module()  # loaded here, not by two workers at once
+            self._pool = ThreadPoolExecutor(min(_WORKERS, cpus))
+        self._last_large = large
+        if self._pool is not None and large:
+            return self._pool.submit(fn).result
+        value = fn()
+        return lambda: value
+
+    def __enter__(self) -> "_Scheduler":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _solve_steps(
     est: np.ndarray, truth: np.ndarray, params: LospaParams, backend: SolverBackend
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labelled pairings and labelled/unlabelled totals for every step.
 
     Works through the (T, t, n_x) state stacks a chunk of n steps at a time,
-    in one reused (2n, t, t) buffer and one ``solve_stack`` call: rows [:n]
-    hold the localization costs, rows [n:] the same plus the labelling
-    penalty.  At alpha = 0 the halves coincide, so only the first is built.
-    Where a chunk holds a single step, on the optimal backend,
-    :func:`_solve_single_steps` takes over.
+    in a (2n, t, t) buffer: rows [:n] hold the localization costs, rows
+    [n:] the same plus the labelling penalty.  At alpha = 0 the halves
+    coincide, so only the first is built.
+
+    On the optimal backend, where a chunk holds a single step and q is 1 or
+    2, the step is first offered to :func:`_sweep`; a step it certifies is
+    neither built nor solved.  Every other chunk is built, and the
+    brute-force backend solves it with ``solve_stack``.  The optimal
+    backend reads the chunk's row-minimum certificate, as ``solve_stack``
+    does, and makes the chunk one job for the run's LSAP
+    :class:`_Scheduler`, :func:`_settle`, sized by the entries one LSAP
+    solve reads: none if the certificate settles the whole chunk, so that
+    the scheduler starts threads only for two consecutive one-step chunks
+    that need LSAP.
+
+    Buffers come from a free list, the most recently freed first.  A new
+    one is allocated only while the scheduler runs jobs in threads and
+    every other buffer is held by one of them, up to ``_STEP_BUFFERS``:
+    then the next chunk is built while they solve.  Otherwise the oldest
+    job's result is stored first, and its buffer reused.
     """
     T, t, _ = est.shape
     halves = 2 if params.alpha > 0.0 else 1
     size = max(1, _CHUNK_ENTRIES // (halves * t * t))
     perms = np.empty((T, t), dtype=np.intp)
     totals = np.empty((2, T))  # unlabelled, labelled
-    if size == 1 and backend is SolverBackend.OPTIMAL:
-        _solve_single_steps(est, truth, params, halves, perms, totals)
-        return perms, totals[1], totals[0]
-    buffer = np.empty((halves * min(size, T), t, t))
-    for lo in range(0, T, size):
-        n = min(size, T - lo)
-        C = cost_stack(est[lo : lo + n], truth[lo : lo + n], params, buffer[: halves * n])
-        chunk_perms, chunk_totals = solve_stack(C, backend)
-        perms[lo : lo + n] = chunk_perms[-n:]
-        totals[:, lo : lo + n] = chunk_totals.reshape(halves, n)  # at alpha = 0, into both
-    return perms, totals[1], totals[0]
+    optimal = backend is SolverBackend.OPTIMAL
+    sweep = optimal and size == 1 and params.base_metric.q in (1.0, 2.0)
+    free, held = [], deque()  # spare buffers; (steps, buffer, result) in step order
 
+    def finish(steps, buffer, result):
+        chunk_perms, chunk_totals = result()
+        perms[steps] = chunk_perms[steps.start - steps.stop :]
+        totals[:, steps] = chunk_totals.reshape(halves, -1)  # at alpha = 0, into both
+        free.append(buffer)
 
-def _solve_single_steps(
-    est: np.ndarray, truth: np.ndarray, params: LospaParams, halves: int,
-    perms: np.ndarray, totals: np.ndarray,
-) -> None:
-    """Fill ``perms[k]`` and ``totals[:, k]`` one step at a time, on the optimal backend.
-
-    At q in {1, 2} each step is first offered to :func:`_sweep`; a step it
-    certifies is neither built nor solved.  Any other step is built into a
-    (halves, t, t) buffer and its row-minimum certificate read, as in
-    ``solve_stack``.  Each built step is one job for the run's LSAP
-    :class:`_Scheduler`, :func:`_settle`, sized by the entries LSAP reads:
-    none if the certificate settles both halves, so that the scheduler
-    starts threads only for two consecutive built steps that need LSAP.
-
-    Buffers come from a free list, the most recently freed first.  A new
-    one is allocated only while the scheduler runs jobs in threads and
-    every other buffer is held by one of them, up to ``_STEP_BUFFERS``:
-    then the next step is built while they solve.  Otherwise the oldest
-    job is finished first, inline unless it is in the pool, and its
-    buffer is reused.
-    """
-    T, t, _ = est.shape
-    sweep = params.base_metric.q in (1.0, 2.0)
-    free, held = [], deque()  # spare buffers; (step, buffer, job) in step order
     with _Scheduler() as lsap:
-
-        def finish_oldest():
-            k, buffer, job = held.popleft()
-            perms[k], totals[:, k] = job.result()
-            free.append(buffer)
-
-        for k in range(T):
-            total = _sweep(est[k], truth[k], params) if sweep else None
+        for lo in range(0, T, size):
+            total = _sweep(est[lo], truth[lo], params) if sweep else None
             if total is not None:
-                perms[k] = np.arange(t)
-                totals[:, k] = total
+                perms[lo] = np.arange(t)
+                totals[:, lo] = total
                 continue
             if not free:
                 if held and (len(held) == _STEP_BUFFERS or not lsap.pooled):
-                    finish_oldest()
+                    finish(*held.popleft())
                 else:
-                    free.append(np.empty((halves, t, t)))
+                    free.append(np.empty((halves * min(size, T), t, t)))
             buffer = free.pop()
-            C = cost_stack(est[k : k + 1], truth[k : k + 1], params, buffer)
-            step_perms = C.argmin(axis=2)
-            certified = _certified(C, step_perms)
-            work = 0 if certified.all() else t * t  # entries LSAP reads
-            job = lsap.submit(
-                partial(_settle, C, step_perms, certified, params.alpha**params.p), work
-            )
-            if work:
-                held.append((k, buffer, job))
+            n = min(size, T - lo)
+            steps = slice(lo, lo + n)
+            C = cost_stack(est[steps], truth[steps], params, buffer[: halves * n])
+            if optimal:
+                chunk_perms = C.argmin(axis=2)
+                certified = _certified(C, chunk_perms)
+                work = 0 if certified.all() else t * t  # entries one LSAP solve reads
+                settle = partial(_settle, C, chunk_perms, certified, n, params.alpha**params.p)
+                job = steps, buffer, lsap.submit(settle, work)
             else:
-                perms[k], totals[:, k] = job.result()
-                free.append(buffer)
+                work, job = 0, (steps, buffer, partial(solve_stack, C, backend))
+            if work:
+                held.append(job)
+            else:
+                finish(*job)
         while held:
-            finish_oldest()
+            finish(*held.popleft())
+    return perms, totals[1], totals[0]
 
 
 def _settle(
-    C: np.ndarray, perms: np.ndarray, certified: np.ndarray, penalty: float
+    C: np.ndarray, perms: np.ndarray, certified: np.ndarray, n: int, penalty: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step's labelled pairing and its (unlabelled, labelled) totals.
+    """The pairings and totals of a chunk of ``n`` steps, laid out as ``solve_stack``'s.
 
-    ``C`` is the step's (halves, t, t) costs, ``perms`` their row argmins,
-    kept where ``certified``, and ``penalty`` is alpha**p.  LSAP solves the
-    labelled matrix, then the localization one unless the labelled pairing
-    serves it.  At alpha = 0 the one matrix is both halves.
+    ``C`` is the chunk's (halves * n, t, t) costs, ``perms`` their row
+    argmins, kept where ``certified``, and ``penalty`` is alpha**p.  LSAP
+    solves each uncertified labelled matrix first, then each uncertified
+    localization one unless its step's labelled pairing serves it.  At
+    alpha = 0 the n matrices are both halves.
     """
-    if not certified[-1]:
-        perms[-1] = _lsap(C[-1])
-    if not certified[0] and len(C) == 2:
-        psi = perms[1]
-        perms[0] = psi if _reuses_labelled(C[0], psi, penalty) else _lsap(C[0])
-    return perms[-1], _totals(C, perms)
+    for i in np.flatnonzero(~certified[-n:]) + len(C) - n:
+        perms[i] = _lsap(C[i])
+    if len(C) > n:
+        for i in np.flatnonzero(~certified[:n]):
+            psi = perms[n + i]
+            perms[i] = psi if _reuses_labelled(C[i], psi, penalty) else _lsap(C[i])
+    return perms, _totals(C, perms)
 
 
 def _reuses_labelled(loc: np.ndarray, psi: np.ndarray, penalty: float) -> bool:

@@ -1,6 +1,7 @@
 """Brute-force oracle and polynomial solver for the pairing minimization."""
 
 import concurrent.futures
+import importlib
 import os
 import threading
 
@@ -18,7 +19,9 @@ from lospa import (
     InvalidCost,
     LospaParams,
     SolverBackend,
+    Trajectory,
     build_cost_matrix,
+    evaluate,
     path_cost,
     solve,
     solve_brute_force,
@@ -29,6 +32,9 @@ from lospa.constants import REL_TOL_BACKENDS
 from lospa.core import cost_stack
 
 from helpers import enum_min_assignment, mts, set_cpus
+
+# The package re-exports the function under the module's name.
+evaluate_module = importlib.import_module("lospa.evaluate")
 
 
 def test_path_cost_left_to_right():
@@ -278,31 +284,48 @@ def no_pool(*args, **kwargs):
     raise AssertionError("a thread pool was constructed")
 
 
+def one_step_chunks(monkeypatch, T, t, certified, seed, alpha=0.5):
+    """``evaluate``'s arguments for ``T`` steps of ``t`` targets, one step per chunk.
+
+    At the steps in ``certified`` each estimate sits near its own truth, so
+    the certificate settles them.  At every other step every estimate sits
+    near truth 0: every row's argmin is column 0, so LSAP solves both halves.
+    """
+    monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 1)
+    rng = np.random.default_rng(seed)
+    truth = 10.0 * np.arange(t)[:, None] + rng.uniform(-1.0, 1.0, size=(T, t, 2))
+    est = truth[:, :1] + rng.uniform(-1.0, 1.0, size=(T, t, 2))
+    est[certified] = truth[certified] + rng.uniform(-0.1, 0.1, size=(len(certified), t, 2))
+    return Trajectory(range(T), truth), Trajectory(range(T), est), LospaParams(alpha=alpha)
+
+
 class TestThreadedLsap:
-    """The LSAP scheduler runs large uncertified matrices in threads, with serial results."""
+    """evaluate's LSAP scheduler runs large uncertified steps in threads, with serial results.
+
+    ``solve_stack`` solves its matrices one after another, in the caller's thread.
+    """
 
     @pytest.mark.parametrize("t", [2, 5, 20])
     def test_pool_matches_serial_bit_for_bit(self, monkeypatch, lsap_calls, pools, t):
-        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
-        stack = np.random.default_rng(70 + t).uniform(0.0, 5.0, size=(9, t, t))
-        stack[::3] += 10.0 * (1.0 - np.eye(t))  # every third matrix is certified
+        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
+        args = one_step_chunks(monkeypatch, 9, t, [0, 3, 6], seed=70 + t)
         set_cpus(monkeypatch, 1)
-        serial = solve_stack(stack, SolverBackend.OPTIMAL)
+        serial = evaluate(*args)
         serial_calls = len(lsap_calls)
         assert pools == []
         set_cpus(monkeypatch, 2)
-        pooled = solve_stack(stack, SolverBackend.OPTIMAL)
+        pooled = evaluate(*args)
         assert pools == [2]
         assert len(lsap_calls) == 2 * serial_calls >= 2
-        for a, b in zip(serial, pooled):
+        for name in ("lospa", "ospa", "perms"):
+            a, b = getattr(serial, name), getattr(pooled, name)
             assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
     def test_workers_capped_at_two(self, monkeypatch, pools):
-        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
+        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         set_cpus(monkeypatch, 8)
-        stack = np.random.default_rng(74).uniform(0.0, 5.0, size=(3, 6, 6))
-        solve_stack(stack, SolverBackend.OPTIMAL)
-        assert pools == [assignment._WORKERS] == [2]
+        evaluate(*one_step_chunks(monkeypatch, 3, 6, [], seed=74))
+        assert pools == [evaluate_module._WORKERS] == [2]
 
     @pytest.mark.parametrize(
         "cpus, min_entries, certified",
@@ -310,38 +333,39 @@ class TestThreadedLsap:
         ids=["one_uncertified", "one_cpu", "below_threshold"],
     )
     def test_no_pool(self, monkeypatch, lsap_calls, cpus, min_entries, certified):
+        # At alpha = 0 each uncertified step is one LSAP solve of 400 entries.
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", min_entries)
+        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", min_entries)
         set_cpus(monkeypatch, cpus)
-        stack = np.random.default_rng(72).uniform(0.0, 5.0, size=(3, 20, 20))
-        stack[certified] += 10.0 * (1.0 - np.eye(20))
-        perms, _ = solve_stack(stack, SolverBackend.OPTIMAL)
+        truth, est, params = one_step_chunks(monkeypatch, 3, 20, certified, seed=72, alpha=0.0)
+        report = evaluate(truth, est, params)
         assert len(lsap_calls) == 3 - len(certified)
-        for C, perm in zip(stack, perms):
+        stack = cost_stack(est.states, truth.states, params, np.empty((3, 20, 20)))
+        for C, perm in zip(stack, report.perms):
             assert tuple(perm) == tuple(linear_sum_assignment(C)[1])
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch, pools, cpus):
-        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
+        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        solve_stack(np.random.default_rng(73).uniform(size=(4, 5, 5)), SolverBackend.OPTIMAL)
+        evaluate(*one_step_chunks(monkeypatch, 4, 5, [], seed=73))
         assert pools == ([2] if cpus == 2 else [])
 
     @pytest.mark.parametrize(
         "sizes, pooled",
-        [((9, 9), [0, 1]), ((9, 0, 9), []), ((9, 1, 9), []), ((0, 9, 9, 9), [1, 2, 3])],
+        [((9, 9), [1]), ((9, 0, 9), []), ((9, 1, 9), []), ((0, 9, 9, 9), [2, 3])],
         ids=["consecutive", "certified_between", "small_between", "late"],
     )
     def test_pool_starts_at_two_consecutive_large_jobs(self, monkeypatch, pools, sizes, pooled):
         # A job of 9 entries is large.  The first of two consecutive large
-        # jobs is still deferred when the second comes, so both run in threads.
-        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 9)
+        # jobs has run inline when the second comes, which starts the pool.
+        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 9)
         set_cpus(monkeypatch, 2)
         main = threading.get_ident()
-        with assignment._Scheduler() as scheduler:
-            jobs = [scheduler.submit(threading.get_ident, size) for size in sizes]
-            threaded = [i for i, job in enumerate(jobs) if job.result() != main]
+        with evaluate_module._Scheduler() as scheduler:
+            results = [scheduler.submit(threading.get_ident, size) for size in sizes]
+            threaded = [i for i, result in enumerate(results) if result() != main]
         assert threaded == pooled
         assert pools == ([2] if pooled else [])
 
@@ -349,21 +373,32 @@ class TestThreadedLsap:
         lsap = assignment._lsap_module()
         real = lsap.linear_sum_assignment
         boom = ArithmeticError("raised by one worker")
+        threads = []
 
         def failing(C):
-            if C[0, 0] == -1.0:
+            threads.append(threading.get_ident())
+            if len(threads) == 3:  # only step 0 is solved in the main thread
                 raise boom
             return real(C)
 
         monkeypatch.setattr(lsap, "linear_sum_assignment", failing)
-        monkeypatch.setattr(assignment, "_THREAD_MIN_ENTRIES", 1)
+        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         set_cpus(monkeypatch, 2)
-        stack = np.random.default_rng(75).uniform(0.0, 5.0, size=(4, 6, 6))
-        stack[2, 0, 0] = -1.0
         with pytest.raises(ArithmeticError) as err:
-            solve_stack(stack, SolverBackend.OPTIMAL)
+            evaluate(*one_step_chunks(monkeypatch, 4, 6, [], seed=75, alpha=0.0))
         assert err.value is boom
+        assert threads[2] != threading.get_ident()
         assert pools == [2]
+
+    def test_solve_stack_starts_no_pool(self, monkeypatch, lsap_calls, pools):
+        set_cpus(monkeypatch, 2)
+        stack = np.random.default_rng(76).uniform(0.0, 5.0, size=(3, 400, 400))
+        perms, totals = solve_stack(stack, SolverBackend.OPTIMAL)
+        assert pools == [] and len(lsap_calls) == 3
+        for C, perm, total in zip(stack, perms, totals):
+            ref = solve_optimal(C)
+            assert tuple(perm) == tuple(ref.perm)
+            assert total.view(np.int64) == np.float64(ref.total_cost).view(np.int64)
 
 
 def collision_stack(t, seed, pairs=((0, 1),)):

@@ -345,13 +345,27 @@ class TestInstalledEntryPoints:
         assert outs[0] == outs[1]
 
 
+# Defines scipy_modules(): the names of the scipy modules loaded so far,
+# those in sys.modules and the LSAP extension that assignment._lsap_module()
+# keeps out of it.
+_SCIPY_MODULES = """\
+import sys
+from lospa import assignment
+
+def scipy_modules():
+    names = {m for m in sys.modules if m.partition(".")[0] == "scipy"}
+    if assignment._lsap_module.cache_info().currsize:
+        names.add(assignment._lsap_module().__name__)
+    return sorted(names)
+"""
+
 # Runs the CLI in a fresh interpreter, then prints, as the last line of
-# stdout, the scipy modules imported by then.
-_MAIN_THEN_SCIPY_MODULES = """\
-import json, sys
+# stdout, the scipy modules loaded by then.
+_MAIN_THEN_SCIPY_MODULES = _SCIPY_MODULES + """\
+import json
 from lospa.cli import main
 code = main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+print(json.dumps(scipy_modules()))
 sys.exit(code)
 """
 
@@ -378,27 +392,21 @@ result = module.__name__, [module.linear_sum_assignment(C)[1].tolist() for C in 
 """
 
 _LOAD_THEN_IMPORT_SCIPY_OPTIMIZE = """\
-import sys
-from lospa import assignment
 lsap = assignment._lsap_module()
-before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-import scipy.optimize
+before = scipy_modules()
+import scipy.optimize._lsap
 result = before, [
     scipy.optimize.linear_sum_assignment is assignment._lsap_module().linear_sum_assignment,
-    sys.modules["scipy.optimize._lsap"] is lsap,
+    scipy.optimize._lsap.linear_sum_assignment is lsap.linear_sum_assignment,
 ]
 """
 
 
 def run_script(code, *argv):
-    """``result`` of a script run in a fresh interpreter, and the scipy modules it imported."""
-    tail = (
-        "import json, sys\n"
-        'modules = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")\n'
-        "print(json.dumps([result, modules]))\n"
-    )
+    """``result`` of a script run in a fresh interpreter, and the scipy modules it loaded."""
+    tail = "import json\nprint(json.dumps([result, scipy_modules()]))\n"
     proc = subprocess.run(
-        [sys.executable, "-c", code + tail, *map(str, argv)],
+        [sys.executable, "-c", _SCIPY_MODULES + code + tail, *map(str, argv)],
         capture_output=True, text=True, timeout=60, env=source_tree_env(),
     )
     assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,6 @@ from lospa import (
     Trajectory,
     evaluate,
     run_demo,
-    solve_stack,
 )
 from lospa.core import cost_stack
 from lospa.cli import main
@@ -199,11 +198,11 @@ class TestChunkedEvaluation:
         monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 4 * t * t)
         stacks = []
 
-        def counted(C, backend):
-            stacks.append(C.shape)
-            return solve_stack(C, backend)
+        def counted(xs, ys, params, out):
+            stacks.append(out.shape)
+            return cost_stack(xs, ys, params, out)
 
-        monkeypatch.setattr(evaluate_module, "solve_stack", counted)
+        monkeypatch.setattr(evaluate_module, "cost_stack", counted)
         T = 5
         truth, near, random = near_and_random(np.random.default_rng(65 + t), T, t)
         params = LospaParams(p=1.5, alpha=alpha, base_metric=BaseMetric.pnorm(q))
@@ -236,12 +235,22 @@ class TestChunkedEvaluation:
         assert lsap_calls == []
         assert np.any(report.perms != np.arange(6), axis=1).sum() == 20
 
-    @pytest.mark.parametrize("alpha, solves_per_step", [(0.0, 1), (0.6, 2)])
-    def test_random_steps_reach_lsap_once_per_solve(self, lsap_calls, alpha, solves_per_step):
-        truth, _, random = near_and_random(np.random.default_rng(64), 40, 20)
-        evaluate(Trajectory(range(40), truth), Trajectory(range(40), random),
-                 LospaParams(alpha=alpha))
-        assert len(lsap_calls) == solves_per_step * 40
+    @pytest.mark.parametrize("alpha, most_per_step", [(0.0, 1), (0.6, 2)])
+    def test_random_steps_reach_lsap_once_per_solve(self, lsap_calls, alpha, most_per_step):
+        # All 40 steps are one chunk.  Each step's labelled matrix is solved;
+        # its localization matrix too where the labelled pairing keeps a
+        # target or fails the guard t * alpha**p <= 2**16 * L(psi).
+        t, params = 20, LospaParams(alpha=alpha)
+        truth, _, random = near_and_random(np.random.default_rng(64), 40, t)
+        report = evaluate(Trajectory(range(40), truth), Trajectory(range(40), random), params)
+        expected = 40
+        if alpha > 0.0:
+            for A, B, psi in zip(random.tolist(), truth.tolist(), report.perms.tolist()):
+                loc = sum(qnorm_dist(A[j], B[psi[j]]) ** 2.0 for j in range(t))
+                kept = any(psi[j] == j for j in range(t))
+                expected += kept or t * alpha**2.0 > 2.0**16 * loc
+            assert 40 < expected < 80  # both kinds of step occur
+        assert len(lsap_calls) == expected <= most_per_step * 40
 
     def test_chunk_size_does_not_change_the_report(self, monkeypatch):
         truth, near, _ = near_and_random(np.random.default_rng(62), 7, 3)
@@ -484,6 +493,33 @@ class TestFixedPointRule:
         args = (Trajectory(range(2), truth), Trajectory(range(2), est),
                 LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q)))
         assert evaluate(*args).to_json() == two_solve(*args).to_json()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.integers(2, 40),
+        T=st.integers(2, 6),
+        alpha=st.sampled_from([0.5, 1.0, 30.0]),
+        p=st.sampled_from([1.0, 2.0, 3.0]),
+        q=st.sampled_from([1.0, 2.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunks_of_several_steps_match_the_two_solve_path(self, t, T, alpha, p, q, seed):
+        # Every step is in one chunk.  Each is near-correct, random, or
+        # swapped clusters, whose labelled optimum keeps no target.
+        rng = np.random.default_rng(seed)
+        truth, near, random = near_and_random(rng, T, t)
+        est = np.where((rng.integers(3, size=T) == 0)[:, None, None], near, random)
+        for i in np.flatnonzero(rng.integers(3, size=T) == 0):
+            truth[i], est[i] = swapped_clusters(t, 1.0, seed=int(rng.integers(2**32)))
+        params = LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q))
+        args = (Trajectory(range(T), truth), Trajectory(range(T), est), params)
+        report = evaluate(*args)
+        assert report.to_json() == two_solve(*args).to_json()
+        if t <= 8:
+            for i, (A, B) in enumerate(zip(est.tolist(), truth.tolist())):
+                lospa, ospa = enum_lospa(A, B, p, alpha, q), enum_lospa(A, B, p, 0.0, q)
+                assert report.lospa[i] == pytest.approx(lospa, rel=REL_TOL_BACKENDS)
+                assert report.ospa[i] == pytest.approx(ospa, rel=REL_TOL_BACKENDS)
 
     @pytest.mark.parametrize("t", [2, 3, 5, 8])
     @pytest.mark.parametrize("p", [1.0, 2.0])
