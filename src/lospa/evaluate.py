@@ -76,13 +76,10 @@ _SWEEP_PAIRS = 4
 # two threads took 0.53-0.75x the serial time from t = 288 up, 1.05-8x at t <= 200.
 _THREAD_MIN_ENTRIES = 1 << 17
 
-# Most threads the LSAP scheduler starts.  A one-step chunk holds one
-# (2, t, t) buffer while its job runs, so this also bounds the buffers kept.
+# Most threads in evaluate's LSAP pool.  A one-step chunk holds its own
+# (2, t, t) buffer while its job runs, so a run keeps at most one buffer more
+# than this: one being built while each worker holds one.
 _WORKERS = 2
-
-# Most chunk buffers alive at once: one being built while each LSAP worker
-# holds one.
-_STEP_BUFFERS = 1 + _WORKERS
 
 # k of the guard t * alpha**p <= 2**k * L(psi) in _reuses_labelled.
 _GUARD_BITS = 16
@@ -218,127 +215,95 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-class _Scheduler:
-    """Runs the LSAP jobs of one run, in order: inline, or in one thread pool.
-
-    A job is a callable and the number of cost entries its LSAP solves
-    read.  It runs when it is submitted, inline, unless it and the job
-    before it both have at least ``_THREAD_MIN_ENTRIES`` entries: then, if
-    the process may run on two or more CPUs, the scheduler starts one pool
-    of up to ``_WORKERS`` threads for the rest of the run, and that job and
-    every later large one go to it; scipy releases the GIL while it solves.
-    A lone large job, small jobs and a one-CPU process never import
-    ``concurrent.futures``.
-
-    Jobs return their results, so what a job computes does not depend on
-    where it ran.  Leaving the ``with`` block cancels the jobs the pool has
-    not started and waits for the running ones, so no worker outlives it.
-    """
-
-    def __init__(self):
-        self._pool = None
-        self._last_large = False  # whether the job submitted last was large
-
-    @property
-    def pooled(self) -> bool:
-        """Whether large jobs now run in threads while the caller goes on."""
-        return self._pool is not None
-
-    def submit(self, fn, entries: int):
-        """Run ``fn``, or hand it to the pool; returns a callable that gives its result."""
-        large = entries >= _THREAD_MIN_ENTRIES
-        if self._pool is None and large and self._last_large and (cpus := _cpus()) >= 2:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _lsap_module()  # loaded here, not by two workers at once
-            self._pool = ThreadPoolExecutor(min(_WORKERS, cpus))
-        self._last_large = large
-        if self._pool is not None and large:
-            return self._pool.submit(fn).result
-        value = fn()
-        return lambda: value
-
-    def __enter__(self) -> "_Scheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _solve_steps(
     est: np.ndarray, truth: np.ndarray, params: LospaParams, backend: SolverBackend
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labelled pairings and labelled/unlabelled totals for every step.
 
-    Works through the (T, t, n_x) state stacks a chunk of n steps at a time,
-    in a (2n, t, t) buffer: rows [:n] hold the localization costs, rows
-    [n:] the same plus the labelling penalty.  At alpha = 0 the halves
-    coincide, so only the first is built.
-
+    Works through the (T, t, n_x) state stacks a chunk of n steps at a time.
     On the optimal backend, where a chunk holds a single step and q is 1 or
     2, the step is first offered to :func:`_sweep`; a step it certifies is
-    neither built nor solved.  Every other chunk is built, and the
-    brute-force backend solves it with ``solve_stack``.  The optimal
-    backend reads the chunk's row-minimum certificate, as ``solve_stack``
-    does, and makes the chunk one job for the run's LSAP
-    :class:`_Scheduler`, :func:`_settle`, sized by the entries one LSAP
-    solve reads: none if the certificate settles the whole chunk, so that
-    the scheduler starts threads only for two consecutive one-step chunks
-    that need LSAP.
+    neither built nor solved.  Every other chunk is built on the main
+    thread and makes one job (:func:`_chunk_job`), which runs inline when
+    its result is stored, unless the chunk and the one built before it are
+    both large.  Then, if the process may run on two or more CPUs, one pool
+    of up to ``_WORKERS`` threads starts for the rest of the run, and that
+    job and every later large one go to it; scipy releases the GIL while it
+    solves.  A lone large chunk, small chunks and a one-CPU process never
+    import ``concurrent.futures``.
 
-    Buffers come from a free list, the most recently freed first.  A new
-    one is allocated only while the scheduler runs jobs in threads and
-    every other buffer is held by one of them, up to ``_STEP_BUFFERS``:
-    then the next chunk is built while they solve.  Otherwise the oldest
-    job's result is stored first, and its buffer reused.
+    Results are stored in step order, the oldest first, while more than
+    ``_WORKERS`` jobs are held, or any without a pool: so the main thread
+    builds the next chunk while the workers solve earlier ones.  Jobs
+    return their results, so what a job computes does not depend on where
+    it ran.  On the way out, also by an error, the pool cancels the jobs it
+    has not started and waits for the running ones, so no worker outlives
+    the run.
     """
     T, t, _ = est.shape
     halves = 2 if params.alpha > 0.0 else 1
     size = max(1, _CHUNK_ENTRIES // (halves * t * t))
     perms = np.empty((T, t), dtype=np.intp)
     totals = np.empty((2, T))  # unlabelled, labelled
-    optimal = backend is SolverBackend.OPTIMAL
-    sweep = optimal and size == 1 and params.base_metric.q in (1.0, 2.0)
-    free, held = [], deque()  # spare buffers; (steps, buffer, result) in step order
+    sweep = backend is SolverBackend.OPTIMAL and size == 1 and params.base_metric.q in (1.0, 2.0)
+    pool, last_large, held = None, False, deque()  # held: (steps, result) in step order
 
-    def finish(steps, buffer, result):
+    def store(steps, result):
         chunk_perms, chunk_totals = result()
         perms[steps] = chunk_perms[steps.start - steps.stop :]
         totals[:, steps] = chunk_totals.reshape(halves, -1)  # at alpha = 0, into both
-        free.append(buffer)
 
-    with _Scheduler() as lsap:
+    try:
         for lo in range(0, T, size):
             total = _sweep(est[lo], truth[lo], params) if sweep else None
             if total is not None:
                 perms[lo] = np.arange(t)
                 totals[:, lo] = total
                 continue
-            if not free:
-                if held and (len(held) == _STEP_BUFFERS or not lsap.pooled):
-                    finish(*held.popleft())
-                else:
-                    free.append(np.empty((halves * min(size, T), t, t)))
-            buffer = free.pop()
-            n = min(size, T - lo)
-            steps = slice(lo, lo + n)
-            C = cost_stack(est[steps], truth[steps], params, buffer[: halves * n])
-            if optimal:
-                chunk_perms = C.argmin(axis=2)
-                certified = _certified(C, chunk_perms)
-                work = 0 if certified.all() else t * t  # entries one LSAP solve reads
-                settle = partial(_settle, C, chunk_perms, certified, n, params.alpha**params.p)
-                job = steps, buffer, lsap.submit(settle, work)
-            else:
-                work, job = 0, (steps, buffer, partial(solve_stack, C, backend))
-            if work:
-                held.append(job)
-            else:
-                finish(*job)
+            steps = slice(lo, min(lo + size, T))
+            job, large = _chunk_job(est[steps], truth[steps], params, backend)
+            if pool is None and large and last_large and (cpus := _cpus()) >= 2:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _lsap_module()  # loaded here, not by two workers at once
+                pool = ThreadPoolExecutor(min(_WORKERS, cpus))
+            last_large = large
+            held.append((steps, pool.submit(job).result if pool is not None and large else job))
+            del job  # else it would keep a stored chunk's buffer through the next build
+            while len(held) > (0 if pool is None else _WORKERS):
+                store(*held.popleft())
         while held:
-            finish(*held.popleft())
+            store(*held.popleft())
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     return perms, totals[1], totals[0]
+
+
+def _chunk_job(
+    est: np.ndarray, truth: np.ndarray, params: LospaParams, backend: SolverBackend
+) -> tuple[partial, bool]:
+    """Build a chunk of n steps; returns its job and whether the job is large.
+
+    The chunk gets a (2n, t, t) buffer of its own: rows [:n] hold the
+    localization costs, rows [n:] the same plus the labelling penalty.  At
+    alpha = 0 the halves coincide, so only the first is built.  The
+    brute-force backend's job is ``solve_stack``.  The optimal backend reads
+    the row-minimum certificate, as ``solve_stack`` does, and its job is
+    :func:`_settle`.  The job is large when the certificate leaves a matrix
+    and one LSAP solve reads at least ``_THREAD_MIN_ENTRIES`` entries, so
+    only one-step chunks can be; a chunk the certificate settles separates
+    two that need LSAP.
+    """
+    n, t, _ = est.shape
+    halves = 2 if params.alpha > 0.0 else 1
+    C = cost_stack(est, truth, params, np.empty((halves * n, t, t)))
+    if backend is not SolverBackend.OPTIMAL:
+        return partial(solve_stack, C, backend), False
+    perms = C.argmin(axis=2)
+    certified = _certified(C, perms)
+    large = not certified.all() and t * t >= _THREAD_MIN_ENTRIES
+    return partial(_settle, C, perms, certified, n, params.alpha**params.p), large
 
 
 def _settle(

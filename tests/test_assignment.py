@@ -300,7 +300,7 @@ def one_step_chunks(monkeypatch, T, t, certified, seed, alpha=0.5):
 
 
 class TestThreadedLsap:
-    """evaluate's LSAP scheduler runs large uncertified steps in threads, with serial results.
+    """evaluate's chunk loop solves large uncertified steps in threads, with serial results.
 
     ``solve_stack`` solves its matrices one after another, in the caller's thread.
     """
@@ -353,20 +353,34 @@ class TestThreadedLsap:
         assert pools == ([2] if cpus == 2 else [])
 
     @pytest.mark.parametrize(
-        "sizes, pooled",
-        [((9, 9), [1]), ((9, 0, 9), []), ((9, 1, 9), []), ((0, 9, 9, 9), [2, 3])],
-        ids=["consecutive", "certified_between", "small_between", "late"],
+        "certified, T, pooled",
+        [([], 2, [1]), ([1], 3, []), ([0], 4, [2, 3])],
+        ids=["consecutive", "certified_between", "late"],
     )
-    def test_pool_starts_at_two_consecutive_large_jobs(self, monkeypatch, pools, sizes, pooled):
-        # A job of 9 entries is large.  The first of two consecutive large
-        # jobs has run inline when the second comes, which starts the pool.
-        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 9)
+    def test_pool_starts_at_two_consecutive_large_jobs(
+        self, monkeypatch, pools, certified, T, pooled
+    ):
+        # Every uncertified step is large.  A certified step is built, as its
+        # estimates equal the truths (the sweep gives up on zero costs), so it
+        # separates the steps around it.  The first of two consecutive large
+        # steps has run inline when the second comes, which starts the pool.
+        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         set_cpus(monkeypatch, 2)
-        main = threading.get_ident()
-        with evaluate_module._Scheduler() as scheduler:
-            results = [scheduler.submit(threading.get_ident, size) for size in sizes]
-            threaded = [i for i, result in enumerate(results) if result() != main]
-        assert threaded == pooled
+        truth, est, params = one_step_chunks(monkeypatch, T, 20, [], seed=77)
+        states = est.states.copy()
+        states[certified] = truth.states[certified]
+        stack = cost_stack(states, truth.states, params, np.empty((2 * T, 20, 20)))
+        steps = [C.tobytes() for C in stack[:T]]  # localization costs, step by step
+        real, main, threads = evaluate_module._settle, threading.get_ident(), {}
+
+        def recorded(C, *args):
+            threads[steps.index(C[0].tobytes())] = threading.get_ident()
+            return real(C, *args)
+
+        monkeypatch.setattr(evaluate_module, "_settle", recorded)
+        evaluate(truth, Trajectory(range(T), states), params)
+        assert sorted(threads) == list(range(T))
+        assert [step for step, thread in threads.items() if thread != main] == pooled
         assert pools == ([2] if pooled else [])
 
     def test_worker_exception_comes_out_unchanged(self, monkeypatch, pools):
