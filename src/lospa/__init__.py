@@ -10,7 +10,6 @@ from .assignment import (
     AssignmentSolution,
     SolverBackend,
     path_cost,
-    solve,
     solve_brute_force,
     solve_optimal,
     solve_stack,
@@ -20,7 +19,6 @@ from .core import (
     CostMatrix,
     LospaParams,
     MultiTargetState,
-    Permutation,
     build_cost_matrix,
     parse_base_metric,
 )
@@ -50,14 +48,12 @@ __all__ = [
     "BaseMetric",
     "parse_base_metric",
     "LospaParams",
-    "Permutation",
     "CostMatrix",
     "build_cost_matrix",
     # assignment
     "SolverBackend",
     "AssignmentSolution",
     "path_cost",
-    "solve",
     "solve_brute_force",
     "solve_optimal",
     "solve_stack",

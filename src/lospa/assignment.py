@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import DEFAULT_BRUTE_CAP
-from .core import CostMatrix, Permutation
+from .core import CostMatrix, _as_int, _as_readonly
 from .errors import CapExceeded, DimensionMismatch, InvalidCost
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "SolverBackend",
     "solve_brute_force",
     "solve_optimal",
-    "solve",
     "solve_stack",
 ]
 
@@ -50,11 +49,12 @@ class SolverBackend(Enum):
     OPTIMAL = "optimal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignmentSolution:
-    """An optimal pairing and its total cost (summed left-to-right over rows)."""
+    """An optimal pairing, a read-only int64 ``(t,)`` array pairing row j
+    with column ``perm[j]``, and its total cost (summed left-to-right over rows)."""
 
-    perm: Permutation
+    perm: np.ndarray
     total_cost: float
 
 
@@ -62,20 +62,25 @@ def _cost_matrix(C: CostMatrix | np.ndarray) -> CostMatrix:
     return C if isinstance(C, CostMatrix) else CostMatrix(C)
 
 
-def path_cost(C: CostMatrix | np.ndarray, perm: Permutation) -> float:
+def path_cost(C: CostMatrix | np.ndarray, perm) -> float:
     """Total cost of a pairing, accumulated left-to-right in double precision.
 
+    ``perm[j]`` is the column paired with row j; an index array will do.
     This is the solvers' own sum (:func:`_totals` of a stack of one), so it
     equals their totals bit for bit, the sign of a zero included.
 
-    Raises DimensionMismatch unless the pairing has one entry per row.
+    Raises ValueError if an entry is not an integer (a float, a bool) or the
+    entries are not a permutation, and DimensionMismatch unless the pairing
+    has one entry per row.
     """
     entries = _cost_matrix(C).entries
-    if len(perm) != len(entries):
-        raise DimensionMismatch(
-            f"pairing has {len(perm)} entries, cost matrix has {len(entries)} rows"
-        )
-    return float(_totals(entries[None], np.asarray(tuple(perm), dtype=np.intp)[None])[0])
+    perm = [_as_int(v, "a pairing entry") for v in perm]
+    t = len(perm)
+    if t != len(entries):
+        raise DimensionMismatch(f"pairing has {t} entries, cost matrix has {len(entries)} rows")
+    if sorted(perm) != list(range(t)):
+        raise ValueError(f"not a permutation of 0..{t - 1}: {tuple(perm)}")
+    return float(_totals(entries[None], np.array([perm], dtype=np.intp))[0])
 
 
 def _check_cap(t: int, cap: int) -> None:
@@ -101,12 +106,19 @@ def _totals(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
 
 
 def _upper_bound_pairing(C: np.ndarray) -> np.ndarray:
-    """Some pairing of every matrix; its total caps what the enumeration keeps.
+    """A greedy pairing of every matrix; its total caps what the enumeration keeps.
 
-    Any pairing gives a valid cap, a poor one only a looser one, so the
-    brute-force result does not depend on this solver being right.
+    Row by row, each row takes its cheapest column not yet taken.  Entries
+    are finite, so a free column always beats a taken one (+inf).  Any
+    pairing gives a valid cap, a poor one only a looser one, so the
+    brute-force result does not depend on this choice.
     """
-    return solve_stack(C, SolverBackend.OPTIMAL)[0]
+    n, t, _ = C.shape
+    matrices, perms, free = np.arange(n), np.empty((n, t), dtype=np.intp), np.ones((n, t), bool)
+    for j in range(t):
+        perms[:, j] = np.where(free, C[:, j], np.inf).argmin(axis=1)
+        free[matrices, perms[:, j]] = False
+    return perms
 
 
 def _dominated(key: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -251,8 +263,8 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
 
     * lower bound: the partial sum plus the remaining rows' minima, added
       left to right, exceeds the total of a known pairing of the same
-      matrix (here the optimal backend's; a worse pairing only loosens the
-      bound, so the result never depends on it);
+      matrix (here :func:`_upper_bound_pairing`'s greedy one; a worse
+      pairing only loosens the bound, so the result never depends on it);
     * ties: an earlier prefix, in lexicographic order, over the same set of
       columns has a partial sum no larger, so every completion of it costs
       no more and comes first.
@@ -261,8 +273,8 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
 
     The stack is read as float64 once, here, which copies any other dtype
     but never a float64 stack.  Entries are trusted to be finite and
-    nonnegative; :func:`solve` validates single matrices through
-    :class:`CostMatrix`.
+    nonnegative; :func:`solve_optimal` and :func:`solve_brute_force`
+    validate single matrices through :class:`CostMatrix`.
 
     Returns:
         ``(perms, totals)``: ``perms[i]`` is an optimal pairing of ``C[i]``
@@ -289,10 +301,10 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
     return perms, _totals(C, perms)
 
 
-def solve(C: CostMatrix | np.ndarray, backend: SolverBackend) -> AssignmentSolution:
+def _solve_one(C: CostMatrix | np.ndarray, backend: SolverBackend) -> AssignmentSolution:
     """Solve one cost matrix with the selected backend, as a stack of one."""
     perms, totals = solve_stack(_cost_matrix(C).entries[None], backend)
-    return AssignmentSolution(perm=Permutation(perms[0]), total_cost=float(totals[0]))
+    return AssignmentSolution(_as_readonly(perms[0], np.int64), float(totals[0]))
 
 
 def solve_brute_force(
@@ -320,7 +332,7 @@ def solve_brute_force(
         raise ValueError(f"cap may be at most {DEFAULT_BRUTE_CAP}, got {cap}")
     C = _cost_matrix(C)
     _check_cap(C.size, cap)
-    return solve(C, SolverBackend.BRUTE_FORCE)
+    return _solve_one(C, SolverBackend.BRUTE_FORCE)
 
 
 def solve_optimal(C: CostMatrix | np.ndarray) -> AssignmentSolution:
@@ -333,4 +345,4 @@ def solve_optimal(C: CostMatrix | np.ndarray) -> AssignmentSolution:
         InvalidCost: if the matrix is not square or has non-finite or
             negative entries.
     """
-    return solve(C, SolverBackend.OPTIMAL)
+    return _solve_one(C, SolverBackend.OPTIMAL)

@@ -27,15 +27,14 @@ __all__ = [
     "BaseMetric",
     "parse_base_metric",
     "LospaParams",
-    "Permutation",
     "CostMatrix",
     "build_cost_matrix",
     "cost_stack",
 ]
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _as_readonly(arr: np.ndarray, dtype=float) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -203,42 +202,6 @@ class LospaParams:
         return LospaParams(p=self.p, alpha=alpha, base_metric=self.base_metric)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {0, ..., t-1}, stored as the image tuple (0-based).
-
-    ``mapping[j] = k`` pairs position j of the first state with position k
-    of the second.  Any sequence of integers, an index array included, is
-    stored as a tuple of ints; any other entry (a float, a bool) raises.
-    """
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        mapping = tuple(_as_int(v, "a pairing entry") for v in self.mapping)
-        t = len(mapping)
-        if t < 1 or sorted(mapping) != list(range(t)):
-            raise ValueError(f"not a permutation of 0..{t - 1}: {mapping}")
-        object.__setattr__(self, "mapping", mapping)
-
-    @classmethod
-    def identity(cls, t: int) -> "Permutation":
-        return cls(tuple(range(t)))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(j == k for j, k in enumerate(self.mapping))
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def __iter__(self):
-        return iter(self.mapping)
-
-    def __getitem__(self, j: int) -> int:
-        return self.mapping[j]
-
-
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Square matrix of per-pair matching costs.
@@ -361,6 +324,13 @@ def _require_same_shape(a, b, names: tuple[str, str]) -> None:
             raise DimensionMismatch(f"{what} differ: {names[0]} has {x}, {names[1]} has {y}")
 
 
+def _pair_costs(A: MultiTargetState, B: MultiTargetState, params: LospaParams) -> np.ndarray:
+    """The unlabelled costs of one pair, then its labelled costs if alpha > 0: (1 or 2, t, t)."""
+    _require_same_shape(A, B, ("first", "second"))
+    t, halves = A.num_targets, 2 if params.alpha > 0.0 else 1
+    return cost_stack(A.points[None], B.points[None], params, np.empty((halves, t, t)))
+
+
 def build_cost_matrix(
     A: MultiTargetState, B: MultiTargetState, params: LospaParams
 ) -> CostMatrix:
@@ -375,7 +345,4 @@ def build_cost_matrix(
             state dimension.
         InvalidCost: if a cost overflows the float64 range.
     """
-    _require_same_shape(A, B, ("first", "second"))
-    t, halves = A.num_targets, 2 if params.alpha > 0.0 else 1
-    C = cost_stack(A.points[None], B.points[None], params, np.empty((halves, t, t)))
-    return CostMatrix(C[-1])
+    return CostMatrix(_pair_costs(A, B, params)[-1])

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .assignment import SolverBackend, solve
-from .core import BaseMetric, LospaParams, MultiTargetState, Permutation, build_cost_matrix
+import numpy as np
+
+from .assignment import SolverBackend, solve_stack
+from .core import BaseMetric, LospaParams, MultiTargetState, _as_readonly, _pair_costs
 
 __all__ = ["MetricKind", "LospaResult", "lospa", "ospa_no_cutoff"]
 
@@ -34,12 +36,17 @@ class MetricKind(Enum):
     OSPA = "ospa"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LospaResult:
-    """Distance value plus the pairing that attains it."""
+    """Distance value plus the pairing that attains it.
+
+    ``optimal_perm``, a read-only int64 ``(t,)`` array like a row of
+    ``EvalReport.perms``, pairs position j of the first state with position
+    ``optimal_perm[j]`` of the second.
+    """
 
     distance: float
-    optimal_perm: Permutation
+    optimal_perm: np.ndarray
     kind: MetricKind
 
 
@@ -69,9 +76,10 @@ def lospa(
         DimensionMismatch: if A and B differ in target count or dimension.
         CapExceeded: brute-force backend with too many targets.
     """
-    sol = solve(build_cost_matrix(A, B, params), backend)
+    perms, totals = solve_stack(_pair_costs(A, B, params)[-1:], backend)
     kind = MetricKind.LOSPA if params.alpha > 0.0 else MetricKind.OSPA
-    return LospaResult(_distance(sol.total_cost, A.num_targets, params.p), sol.perm, kind)
+    distance = _distance(float(totals[0]), A.num_targets, params.p)
+    return LospaResult(distance, _as_readonly(perms[0], np.int64), kind)
 
 
 def _distance(total_cost: float, t: int, p: float) -> float:

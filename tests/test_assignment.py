@@ -3,6 +3,7 @@
 import concurrent.futures
 import importlib
 import os
+import re
 import threading
 
 import hypothesis.strategies as st
@@ -23,7 +24,6 @@ from lospa import (
     build_cost_matrix,
     evaluate,
     path_cost,
-    solve,
     solve_brute_force,
     solve_optimal,
     solve_stack,
@@ -39,10 +39,8 @@ evaluate_module = importlib.import_module("lospa.evaluate")
 
 def test_path_cost_left_to_right():
     C = np.array([[1.0, 2.0], [3.0, 4.0]])
-    from lospa import Permutation
-
-    assert path_cost(C, Permutation((0, 1))) == 5.0
-    assert path_cost(C, Permutation((1, 0))) == 5.0
+    assert path_cost(C, (0, 1)) == 5.0
+    assert path_cost(C, np.array([1, 0])) == 5.0
 
 
 @pytest.mark.parametrize(
@@ -51,11 +49,23 @@ def test_path_cost_left_to_right():
     ids=["pairing_too_short", "pairing_too_long"],
 )
 def test_path_cost_needs_one_pairing_entry_per_row(C, mapping):
-    from lospa import Permutation
-
     message = f"pairing has {len(mapping)} entries, cost matrix has {len(C)} rows"
     with pytest.raises(DimensionMismatch, match=message):
-        path_cost(C, Permutation(mapping))
+        path_cost(C, mapping)
+
+
+def test_path_cost_needs_a_permutation():
+    for mapping in ((0, 0, 1), (1, 2, 3)):  # a repeated entry, an entry out of range
+        with pytest.raises(ValueError, match=re.escape(f"not a permutation of 0..2: {mapping}")):
+            path_cost(np.zeros((3, 3)), mapping)
+
+
+@pytest.mark.parametrize("solver", [solve_brute_force, solve_optimal])
+def test_pairing_is_a_read_only_int64_array(solver):
+    perm = solver(np.array([[100.0, 1.0], [1.0, 100.0]])).perm
+    assert perm.dtype == np.int64 and perm.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        perm[0] = 0
 
 
 @pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)
@@ -175,6 +185,12 @@ class TestPrunedEnumeration:
             assert tuple(perm) == expected_perm
             assert total == expected_total
 
+    @settings(deadline=None, max_examples=60)
+    @given(tie_heavy_stacks())
+    def test_upper_bound_pairing_is_a_permutation(self, stack):
+        perms = assignment._upper_bound_pairing(stack)
+        assert (np.sort(perms, axis=1) == np.arange(stack.shape[1])).all()
+
     @pytest.mark.parametrize("pairing", ["identity", "worst"])
     def test_upper_bound_pairing_does_not_change_the_result(self, monkeypatch, pairing):
         rng = np.random.default_rng(18)
@@ -268,8 +284,9 @@ class TestCertificate:
         stack = rng.uniform(0.0, 5.0, size=(6, 5, 5))
         stack[::2] += 10.0 * (1.0 - np.eye(5))  # every other matrix is certified
         perms, totals = solve_stack(stack, backend)
+        solver = solve_brute_force if backend is SolverBackend.BRUTE_FORCE else solve_optimal
         for C, perm, total in zip(stack, perms, totals):
-            sol = solve(C, backend)
+            sol = solver(C)
             assert tuple(perm) == tuple(sol.perm)
             assert total == sol.total_cost == path_cost(C, sol.perm)
 
@@ -488,8 +505,9 @@ class TestRepair:
 class TestSolveDispatch:
     def test_backends(self):
         C = CostMatrix(np.array([[100.0, 1.0], [1.0, 100.0]]))
-        assert solve(C, SolverBackend.BRUTE_FORCE).total_cost == 2.0
-        assert solve(C, SolverBackend.OPTIMAL).total_cost == 2.0
+        for backend in SolverBackend:
+            assert solve_stack(C.entries[None], backend)[1].tolist() == [2.0]
+        assert solve_brute_force(C).total_cost == solve_optimal(C).total_cost == 2.0
 
 
 class TestStructuralProperties:

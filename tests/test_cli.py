@@ -191,36 +191,54 @@ class TestComputeErrors:
         assert "steps[0]" in err and "(100000, 100000)" in err
 
     @pytest.mark.parametrize(
-        "name, text, where",
+        "name, text, flags, where",
         [
-            ("long_cell.csv", "# t=1 nx=1\nk,x_1_1\n0," + "9" * 131073 + "\n", "line 3"),
-            ("long_name.csv", "k," + "y" * 131073 + "\n0,1.0\n", "line 1"),
-            ("open_quote.csv", '# t=1 nx=1\nk,x_1_1\n0,"1.0\n', "line 3"),
-            ("quoted_cell.csv", '# t=1 nx=1\nk,x_1_1\n0,"1.5"\n', "line 3"),
-            ("quoted_header.csv", '"k","x_1_1"\n0,1.5\n', "line 1"),
+            ("long_cell.csv", "# t=1 nx=1\nk,x_1_1\n0," + "9" * 131073 + "\n", [], "line 3"),
+            ("long_name.csv", "k," + "y" * 131073 + "\n0,1.0\n", [], "line 1"),
+            ("open_quote.csv", '# t=1 nx=1\nk,x_1_1\n0,"1.0\n', [], "line 3"),
+            ("quoted_cell.csv", '# t=1 nx=1\nk,x_1_1\n0,"1.5"\n', [], "line 3"),
+            ("quoted_header.csv", '"k","x_1_1"\n0,1.5\n', [], "line 1"),
             ("deep.json", '{"t": 1, "nx": 1, "steps": [{"k": 0, "targets": '
-             + "[" * 1000 + "]" * 1000 + "}]}", "deep.json"),
-            ("long_index.csv", "k,x_" + "9" * 4301 + "_1\n0,1.0\n", "line 1"),
-            ("long_sidecar.csv", "# t=" + "9" * 4301 + " nx=1\nk,x_1_1\n0,1.0\n", "line 1"),
-            ("big_k.csv", f"# t=1 nx=1\nk,x_1_1\n{10**30},1.0\n", "line 3"),
+             + "[" * 1000 + "]" * 1000 + "}]}", [], "deep.json"),
+            ("long_index.csv", "k,x_" + "9" * 4301 + "_1\n0,1.0\n", [], "line 1"),
+            ("long_sidecar.csv", "# t=" + "9" * 4301 + " nx=1\nk,x_1_1\n0,1.0\n", [],
+             "line 1"),
+            ("big_k.csv", f"# t=1 nx=1\nk,x_1_1\n{10**30},1.0\n", [], "line 3"),
             ("big_k.json", f'{{"t": 1, "nx": 1, "steps": [{{"k": {10**30}, "targets": [[1.0]]}}]}}',
-             "steps[0]"),
-            ("long_k.csv", "# t=1 nx=1\nk,x_1_1\n" + "1" * 4301 + ",1.0\n",
+             [], "steps[0]"),
+            ("long_k.csv", "# t=1 nx=1\nk,x_1_1\n" + "1" * 4301 + ",1.0\n", [],
              "line 3: a number of 4301 digits is too large"),
             ("long_k.json", '{"t": 1, "nx": 1, "steps": [{"k": ' + "1" * 4301
-             + ', "targets": [[1.0]]}]}', "steps[0]: time index: a number of 4301 digits"),
+             + ', "targets": [[1.0]]}]}', [], "steps[0]: time index: a number of 4301 digits"),
+            ("t0.csv", "# t=0 nx=1\nk,x_1_1\n0,1.0\n", [],
+             "t0.csv: t and nx must be >= 1, got t=0 nx=1"),
+            ("ok.csv", "# t=1 nx=1\nk,x_1_1\n0,1.0\n", ["--nx", "0"],
+             "ok.csv: t and nx must be >= 1, got t=1 nx=0"),
+            ("abc.csv", "k,a,b,c\n0,1,2,3\n", ["--t", "2", "--nx", "1"],
+             "line 1: header has 4 columns, expected 1 + t*nx = 3 for t=2 nx=1"),
+            ("t0.json", '{"t": 0, "nx": 1, "steps": [{"k": 0, "targets": [[1.0]]}]}', [],
+             "t0.json: t and nx must be >= 1, got t=0 nx=1"),
+            ("ok.json", '{"t": 1, "nx": 1, "steps": [{"k": 0, "targets": [[1.0]]}]}',
+             ["--t", "0"], "ok.json: t and nx must be >= 1, got t=0 nx=1"),
+            ("no_k.json", '{"t": 1, "nx": 1, "steps": [{"targets": [[1.0]]}]}', [],
+             "steps[0]: expected an object with 'k' and 'targets'"),
+            ("step_5.json", '{"t": 1, "nx": 1, "steps": [5]}', [],
+             "steps[0]: expected an object with 'k' and 'targets'"),
         ],
         ids=["cell_131073_chars", "header_name_131073_chars", "unterminated_quote",
              "quoted_number", "quoted_header", "json_1000_deep", "header_index_4301_digits",
              "sidecar_t_4301_digits", "csv_k_1e30", "json_k_1e30", "csv_k_4301_digits",
-             "json_k_4301_digits"],
+             "json_k_4301_digits", "csv_sidecar_t_0", "csv_flag_nx_0",
+             "csv_header_wider_than_flags", "json_t_0", "json_flag_t_0", "json_step_without_k",
+             "json_step_not_an_object"],
     )
     def test_malformed_input_is_one_line_exit_2(self, traj_files, tmp_path, capsys,
-                                                name, text, where):
-        truth, _ = traj_files
+                                                name, text, flags, where):
+        # The bad file is loaded first, so shape flags reach it before the good one.
+        _, est = traj_files
         bad = tmp_path / name
         bad.write_text(text)
-        assert run_compute(truth, bad) == 2
+        assert run_compute(bad, est, *flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
         assert str(bad) in err and where in err
@@ -475,6 +493,12 @@ class TestScipyOnDemand:
             truth, est, tmp_path / "r.json", metric="pnorm:1", backend="brute", p="1",
             alpha="0.5",
         )
+        assert run_fresh(*args) == (0, "", [])
+
+    def test_brute_random_t5(self, tmp_path):
+        # The enumeration's bound is a greedy pairing, not an LSAP solve.
+        truth, est = write_trajectories(tmp_path, "random", t=5, nx=2)
+        args = compute_args(truth, est, tmp_path / "r.json", backend="brute")
         assert run_fresh(*args) == (0, "", [])
 
     def test_random_t5_reaches_lsap_and_matches_brute(self, tmp_path):

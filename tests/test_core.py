@@ -13,7 +13,6 @@ from lospa import (
     LospaParams,
     MultiTargetState,
     NonFiniteValue,
-    Permutation,
     build_cost_matrix,
     parse_base_metric,
 )
@@ -191,23 +190,6 @@ class TestLospaParams:
         assert zero.alpha == 0.0
         assert zero.p == 3.0
         assert zero.base_metric == params.base_metric
-
-
-class TestPermutation:
-    def test_identity(self):
-        perm = Permutation.identity(3)
-        assert tuple(perm) == (0, 1, 2)
-        assert perm.is_identity
-        assert len(perm) == 3
-        assert perm[2] == 2
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
-        with pytest.raises(ValueError):
-            Permutation((1, 2, 3))
-        with pytest.raises(ValueError):
-            Permutation(())
 
 
 class TestCostMatrix:

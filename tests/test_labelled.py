@@ -7,7 +7,6 @@ import pytest
 
 from lospa import (
     DimensionMismatch,
-    Permutation,
     DuplicateLabel,
     LabelMismatch,
     LabelledSet,
@@ -16,6 +15,7 @@ from lospa import (
     from_vector,
     lospa,
     lospa_sets,
+    path_cost,
     to_vector,
 )
 from lospa.constants import REL_TOL_EXACT
@@ -82,7 +82,8 @@ NOT_INTEGERS = [0.5, 0.9, 1.0, True, np.True_, "7", np.float64(2.0), None]
         lambda bad: LabelledTarget(np.array([0.0]), bad),
         lambda bad: from_vector(mts([0, 1]), [3, bad]),
         lambda bad: to_vector(lset([(0.0, 3), (1.0, 4)]), [bad, 4]),
-        lambda bad: Permutation((bad, 0)),
+        # An entry of a permutation, the pairing path_cost checks.
+        lambda bad: path_cost(np.zeros((2, 2)), (bad, 0)),
     ],
     ids=["LabelledTarget", "from_vector", "to_vector", "Permutation"],
 )

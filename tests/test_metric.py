@@ -17,7 +17,6 @@ from lospa import (
     LospaParams,
     MetricKind,
     MultiTargetState,
-    Permutation,
     SolverBackend,
     Trajectory,
     build_cost_matrix,
@@ -56,20 +55,28 @@ def test_golden_values(row, alpha):
 
 def test_first_row_optimum_is_identity():
     result = lospa(ESTIMATES[0], TRUTH, LospaParams(p=2.0, alpha=0.1))
-    assert result.optimal_perm.is_identity
+    assert result.optimal_perm.tolist() == [0, 1, 2]
 
 
 def test_identity_is_exact_zero():
     X = mts([[1.5, -2.5], [0.0, 3.25]])
     result = lospa(X, X, LospaParams(p=2.0, alpha=1.0))
     assert result.distance == 0.0
-    assert result.optimal_perm.is_identity
+    assert result.optimal_perm.tolist() == [0, 1]
 
 
 def test_two_target_swap_is_exactly_one():
     result = lospa(mts([0, 10]), mts([10, 0]), LospaParams(p=2.0, alpha=1.0))
     assert result.distance == 1.0
     assert tuple(result.optimal_perm) == (1, 0)
+
+
+@pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)
+def test_optimal_perm_is_a_read_only_int64_array(backend):
+    perm = lospa(mts([0, 10, 20]), mts([10, 0, 20]), LospaParams(), backend).optimal_perm
+    assert perm.dtype == np.int64 and perm.tolist() == [1, 0, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        perm[0] = 0
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0])
@@ -124,8 +131,8 @@ def test_lospa_and_ospa_equal_separate_calls(backend, alpha):
             A, B = MultiTargetState(A), MultiTargetState(B)
             labelled = lospa(A, B, params, backend=backend)
             unlabelled = lospa(A, B, params.with_alpha(0.0), backend=backend)
-            assert (report.lospa[i], Permutation(report.perms[i])) == (
-                labelled.distance, labelled.optimal_perm
+            assert (report.lospa[i], report.perms[i].tolist()) == (
+                labelled.distance, labelled.optimal_perm.tolist()
             )
             assert report.ospa[i] == unlabelled.distance
 
