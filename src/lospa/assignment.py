@@ -12,9 +12,9 @@ Two interchangeable backends solve ``min over perm of sum_j C[j, perm[j]]``:
   and solves it in O(t^3) time, unless a row-minimum certificate already
   proves the optimum (see :func:`solve_stack`).
 
-:func:`solve_stack` solves an ``(n, t, t)`` stack of matrices at once; every
-single-matrix function here is a stack of one.  All are pure functions;
-concurrent calls need no synchronization.
+:func:`_settle_job` settles every stack, for :func:`solve_stack`, every
+single-matrix function here, ``lospa()`` and ``evaluate``.  All are pure
+functions; concurrent calls need no synchronization.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def _totals(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Cost of ``perms[i]`` on ``C[i]``, summed left to right as :func:`path_cost` does."""
     n, t = perms.shape
     picked = C[np.arange(n)[:, None], np.arange(t), perms]
-    # cumsum adds strictly left to right.
-    return np.cumsum(picked, axis=1)[:, -1]
+    # cumsum without its Python wrapper; it adds strictly left to right.
+    return np.add.accumulate(picked, axis=1)[:, -1]
 
 
 def _upper_bound_pairing(C: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def _expand(C, row_min, bound, depth, key, cols, sums):
     # Children in row-major order keep the frontier lexicographic.
     # The low t bits of a key (t <= 8) are its used columns.
     used = np.unpackbits(key.astype(np.uint8)[:, None], axis=1, count=t, bitorder="little")
-    parent, col = np.nonzero(used == 0)
+    parent, col = (used == 0).nonzero()
     key = key[parent] | (1 << col)
     m = key >> t
     sums = sums[parent] + C[m, depth, col]
@@ -165,7 +165,7 @@ def _expand(C, row_min, bound, depth, key, cols, sums):
     low = sums
     for row in range(depth + 1, t):
         low = low + row_min[m, row]
-    keep = np.flatnonzero(low <= bound[m])
+    keep = (low <= bound[m]).nonzero()[0]
     if depth and len(keep) > 1:  # one-row prefixes all use different columns
         # An earlier prefix over the same columns with no larger sum
         # completes every suffix at no larger cost, and earlier in
@@ -241,9 +241,88 @@ def _certified(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
     hits = np.bincount((perms + t * np.arange(n)[:, None]).ravel(), minlength=n * t)
     ok = (hits.reshape(n, t) == 1).all(axis=1)
     if ok.any():
-        mins = np.take_along_axis(C, perms[:, :, None], axis=2)
-        ok &= (np.count_nonzero(C == mins, axis=2) == 1).all(axis=1)
+        mins = C[np.arange(n)[:, None], np.arange(t), perms]
+        ok &= (np.count_nonzero(C == mins[:, :, None], axis=2) == 1).all(axis=1)
     return ok
+
+
+# k of the guard t * alpha**p <= 2**k * L(psi) in _reuses_labelled.
+_GUARD_BITS = 16
+
+
+def _settle_job(
+    C: np.ndarray, n: int, penalty: float, backend: SolverBackend
+) -> tuple[functools.partial, np.ndarray]:
+    """Read what can be read at once of a trusted ``(halves * n, t, t)`` stack.
+
+    With two halves, rows [:n] are localization costs and rows [n:] the
+    same plus ``penalty``, alpha**p, off the diagonal; with one, the n
+    matrices are both.  The optimal backend's row argmins and certificate
+    are read here, on the calling thread; the brute-force backend has no
+    certificate, and its job enumerates.  Returns ``(job, certified)``:
+    ``job()`` settles the rest and gives ``(perms, totals)`` for every
+    matrix, and ``certified[i]`` says that matrix i needs no LSAP solve.
+    """
+    if backend is SolverBackend.OPTIMAL:
+        perms = C.argmin(axis=2)
+        certified = _certified(C, perms)
+    elif backend is SolverBackend.BRUTE_FORCE:
+        _check_cap(C.shape[1], DEFAULT_BRUTE_CAP)
+        perms, certified = None, np.ones(len(C), dtype=bool)
+    else:
+        raise ValueError(f"unknown solver backend {backend!r}")
+    return functools.partial(_settle, C, perms, certified, n, penalty), certified
+
+
+def _settle(
+    C: np.ndarray, perms: np.ndarray | None, certified: np.ndarray, n: int, penalty: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_settle_job`'s job; raises InvalidCost if a total overflows.
+
+    ``perms`` are the row argmins, kept where ``certified``, or None to
+    enumerate.  LSAP solves each other labelled matrix, then each other
+    localization one unless its step's labelled pairing serves it
+    (:func:`_reuses_labelled`).
+    """
+    with np.errstate(over="ignore"):  # sums may overflow; a total that does raises below
+        if perms is None:
+            perms = _enumerate(C)
+        # Last matrix first: a step's labelled matrix is settled before its localization one.
+        for i in (~certified).nonzero()[0][::-1]:
+            reuse = i < len(C) - n and _reuses_labelled(C[i], perms[i + n], penalty)
+            perms[i] = perms[i + n] if reuse else _lsap(C[i])
+        totals = _totals(C, perms)
+    if not np.isfinite(totals).all():
+        raise InvalidCost("the total cost of an optimal pairing overflows the float64 range")
+    return perms, totals
+
+
+def _reuses_labelled(loc: np.ndarray, psi: np.ndarray, penalty: float) -> bool:
+    """Whether the labelled optimum ``psi`` may stand as the optimum of ``loc``.
+
+    In exact arithmetic, a labelled optimum with no fixed point is also a
+    localization optimum.  With L the localization total and Lab the
+    labelled one, Lab(sigma) = L(sigma) + a (t - fix sigma) for every
+    pairing sigma, where a = alpha**p and fix counts fixed points; so
+    L(psi) + t a = Lab(psi) <= Lab(sigma) <= L(sigma) + t a.
+
+    The labelled entries are rounded, fl(b + a), which can hide
+    differences in b below about u a, u = 2**-53.  So ``psi`` is taken only
+    when it fixes no target and passes the guard t a <= 2**k L(psi), with
+    k = ``_GUARD_BITS``.  Then, with sigma* the localization optimum, the
+    stored labelled totals are within a factor 1 +- u of Lab, which gives
+    (1 - u) (L(psi) + t a) <= (1 + u) (L(sigma*) + t a), so
+    (1 - u) L(psi) <= (1 + u) L(sigma*) + 2 u t a
+                    <= (1 + u) L(sigma*) + 2**(k + 1) u L(psi),
+    and L(psi) <= L(sigma*) (1 + u) / (1 - u (1 + 2**(k + 1))): relative
+    to the optimum, within 2 u (1 + 2**k) to first order, 1.5e-11 at
+    k = 16, below ``REL_TOL_BACKENDS``.  The sums themselves are rounded
+    as on the LSAP path.  Above the guard, LSAP solves ``loc`` itself.
+    """
+    t = len(psi)
+    if (psi == np.arange(t)).any():
+        return False
+    return t * penalty <= 2.0**_GUARD_BITS * float(_totals(loc[None], psi[None])[0])
 
 
 def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.ndarray]:
@@ -272,9 +351,9 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
     The lexicographically smallest cheapest pairing survives both rules.
 
     The stack is read as float64 once, here, which copies any other dtype
-    but never a float64 stack.  Entries are trusted to be finite and
-    nonnegative; :func:`solve_optimal` and :func:`solve_brute_force`
-    validate single matrices through :class:`CostMatrix`.
+    but never a float64 stack, and checked for NaN and infinity.  It is
+    then :func:`_settle_job`'s one-half case, which the other solvers,
+    ``lospa()`` and ``evaluate`` reach with stacks checked already.
 
     Returns:
         ``(perms, totals)``: ``perms[i]`` is an optimal pairing of ``C[i]``
@@ -282,28 +361,23 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         equals :func:`path_cost` bit for bit.
 
     Raises:
-        InvalidCost: if ``C`` is not a non-empty stack of square matrices.
+        InvalidCost: if ``C`` is not a non-empty stack of square matrices,
+            has a NaN or infinite entry, or a total overflows the float64
+            range.
         CapExceeded: brute-force backend with more than
             ``DEFAULT_BRUTE_CAP`` targets.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 3 or C.shape[1] != C.shape[2] or 0 in C.shape:
         raise InvalidCost(f"expected an (n, t, t) stack of cost matrices, got shape {C.shape}")
-    if backend is SolverBackend.BRUTE_FORCE:
-        _check_cap(C.shape[1], DEFAULT_BRUTE_CAP)
-        perms = _enumerate(C)
-    elif backend is SolverBackend.OPTIMAL:
-        perms = C.argmin(axis=2)
-        for i in np.flatnonzero(~_certified(C, perms)):
-            perms[i] = _lsap(C[i])
-    else:
-        raise ValueError(f"unknown solver backend {backend!r}")
-    return perms, _totals(C, perms)
+    if not np.isfinite(C).all():
+        raise InvalidCost("cost stack contains NaN or infinity")
+    return _settle_job(C, len(C), 0.0, backend)[0]()
 
 
 def _solve_one(C: CostMatrix | np.ndarray, backend: SolverBackend) -> AssignmentSolution:
     """Solve one cost matrix with the selected backend, as a stack of one."""
-    perms, totals = solve_stack(_cost_matrix(C).entries[None], backend)
+    perms, totals = _settle_job(_cost_matrix(C).entries[None], 1, 0.0, backend)[0]()
     return AssignmentSolution(_as_readonly(perms[0], np.int64), float(totals[0]))
 
 

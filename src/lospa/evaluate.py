@@ -16,11 +16,10 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .assignment import SolverBackend, _certified, _lsap, _lsap_module, _totals, solve_stack
+from .assignment import SolverBackend, _lsap_module, _settle_job
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import LospaParams, _minkowski_costs, _require_same_shape, cost_stack
 from .errors import TimestepMismatch
@@ -80,9 +79,6 @@ _THREAD_MIN_ENTRIES = 1 << 17
 # (2, t, t) buffer while its job runs, so a run keeps at most one buffer more
 # than this: one being built while each worker holds one.
 _WORKERS = 2
-
-# k of the guard t * alpha**p <= 2**k * L(psi) in _reuses_labelled.
-_GUARD_BITS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,13 +220,17 @@ def _solve_steps(
     On the optimal backend, where a chunk holds a single step and q is 1 or
     2, the step is first offered to :func:`_sweep`; a step it certifies is
     neither built nor solved.  Every other chunk is built on the main
-    thread and makes one job (:func:`_chunk_job`), which runs inline when
-    its result is stored, unless the chunk and the one built before it are
-    both large.  Then, if the process may run on two or more CPUs, one pool
-    of up to ``_WORKERS`` threads starts for the rest of the run, and that
-    job and every later large one go to it; scipy releases the GIL while it
-    solves.  A lone large chunk, small chunks and a one-CPU process never
-    import ``concurrent.futures``.
+    thread, into a buffer of its own that holds both halves at alpha > 0,
+    and ``assignment._settle_job`` reads its certificate.  The job that
+    settles the rest is large when it leaves LSAP a matrix and one LSAP
+    solve reads at least ``_THREAD_MIN_ENTRIES`` entries, so only one-step
+    chunks can be; a chunk the certificate settles separates two that need
+    LSAP.  A job runs inline when its result is stored, unless its chunk
+    and the one built before it are both large.  Then, if the process may
+    run on two or more CPUs, one pool of up to ``_WORKERS`` threads starts
+    for the rest of the run, and that job and every later large one go to
+    it; scipy releases the GIL while it solves.  A lone large chunk, small
+    chunks and a one-CPU process never import ``concurrent.futures``.
 
     Results are stored in step order, the oldest first, while more than
     ``_WORKERS`` jobs are held, or any without a pool: so the main thread
@@ -261,7 +261,10 @@ def _solve_steps(
                 totals[:, lo] = total
                 continue
             steps = slice(lo, min(lo + size, T))
-            job, large = _chunk_job(est[steps], truth[steps], params, backend)
+            n = steps.stop - lo
+            C = cost_stack(est[steps], truth[steps], params, np.empty((halves * n, t, t)))
+            job, certified = _settle_job(C, n, params.alpha**params.p, backend)
+            large = not certified.all() and t * t >= _THREAD_MIN_ENTRIES
             if pool is None and large and last_large and (cpus := _cpus()) >= 2:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -269,7 +272,7 @@ def _solve_steps(
                 pool = ThreadPoolExecutor(min(_WORKERS, cpus))
             last_large = large
             held.append((steps, pool.submit(job).result if pool is not None and large else job))
-            del job  # else it would keep a stored chunk's buffer through the next build
+            del C, job  # else they would keep a stored chunk's buffer through the next build
             while len(held) > (0 if pool is None else _WORKERS):
                 store(*held.popleft())
         while held:
@@ -280,82 +283,8 @@ def _solve_steps(
     return perms, totals[1], totals[0]
 
 
-def _chunk_job(
-    est: np.ndarray, truth: np.ndarray, params: LospaParams, backend: SolverBackend
-) -> tuple[partial, bool]:
-    """Build a chunk of n steps; returns its job and whether the job is large.
-
-    The chunk gets a (2n, t, t) buffer of its own: rows [:n] hold the
-    localization costs, rows [n:] the same plus the labelling penalty.  At
-    alpha = 0 the halves coincide, so only the first is built.  The
-    brute-force backend's job is ``solve_stack``.  The optimal backend reads
-    the row-minimum certificate, as ``solve_stack`` does, and its job is
-    :func:`_settle`.  The job is large when the certificate leaves a matrix
-    and one LSAP solve reads at least ``_THREAD_MIN_ENTRIES`` entries, so
-    only one-step chunks can be; a chunk the certificate settles separates
-    two that need LSAP.
-    """
-    n, t, _ = est.shape
-    halves = 2 if params.alpha > 0.0 else 1
-    C = cost_stack(est, truth, params, np.empty((halves * n, t, t)))
-    if backend is not SolverBackend.OPTIMAL:
-        return partial(solve_stack, C, backend), False
-    perms = C.argmin(axis=2)
-    certified = _certified(C, perms)
-    large = not certified.all() and t * t >= _THREAD_MIN_ENTRIES
-    return partial(_settle, C, perms, certified, n, params.alpha**params.p), large
-
-
-def _settle(
-    C: np.ndarray, perms: np.ndarray, certified: np.ndarray, n: int, penalty: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairings and totals of a chunk of ``n`` steps, laid out as ``solve_stack``'s.
-
-    ``C`` is the chunk's (halves * n, t, t) costs, ``perms`` their row
-    argmins, kept where ``certified``, and ``penalty`` is alpha**p.  LSAP
-    solves each uncertified labelled matrix first, then each uncertified
-    localization one unless its step's labelled pairing serves it.  At
-    alpha = 0 the n matrices are both halves.
-    """
-    for i in np.flatnonzero(~certified[-n:]) + len(C) - n:
-        perms[i] = _lsap(C[i])
-    if len(C) > n:
-        for i in np.flatnonzero(~certified[:n]):
-            psi = perms[n + i]
-            perms[i] = psi if _reuses_labelled(C[i], psi, penalty) else _lsap(C[i])
-    return perms, _totals(C, perms)
-
-
-def _reuses_labelled(loc: np.ndarray, psi: np.ndarray, penalty: float) -> bool:
-    """Whether the labelled optimum ``psi`` may stand as the optimum of ``loc``.
-
-    In exact arithmetic, a labelled optimum with no fixed point is also a
-    localization optimum.  With L the localization total and Lab the
-    labelled one, Lab(sigma) = L(sigma) + a (t - fix sigma) for every
-    pairing sigma, where a = alpha**p and fix counts fixed points; so
-    L(psi) + t a = Lab(psi) <= Lab(sigma) <= L(sigma) + t a.
-
-    The labelled entries are rounded, fl(b + a), which can hide
-    differences in b below about u a, u = 2**-53.  So ``psi`` is taken only
-    when it fixes no target and passes the guard t a <= 2**k L(psi), with
-    k = ``_GUARD_BITS``.  Then, with sigma* the localization optimum, the
-    stored labelled totals are within a factor 1 +- u of Lab, which gives
-    (1 - u) (L(psi) + t a) <= (1 + u) (L(sigma*) + t a), so
-    (1 - u) L(psi) <= (1 + u) L(sigma*) + 2 u t a
-                    <= (1 + u) L(sigma*) + 2**(k + 1) u L(psi),
-    and L(psi) <= L(sigma*) (1 + u) / (1 - u (1 + 2**(k + 1))): relative
-    to the optimum, within 2 u (1 + 2**k) to first order, 1.5e-11 at
-    k = 16, below ``REL_TOL_BACKENDS``.  The sums themselves are rounded
-    as on the LSAP path.  Above the guard, LSAP solves ``loc`` itself.
-    """
-    t = len(psi)
-    if (psi == np.arange(t)).any():
-        return False
-    return t * penalty <= 2.0**_GUARD_BITS * float(_totals(loc[None], psi[None])[0])
-
-
 def _sweep(x: np.ndarray, y: np.ndarray, params: LospaParams) -> float | None:
-    """The identity's total if ``solve_stack``'s certificate would keep it, else None.
+    """The identity's total if the row-minimum certificate would keep it, else None.
 
     ``x`` and ``y`` are one step's (t, n_x) estimate and truth; q is 1 or 2.
     The certificate keeps the identity when every diagonal cost is its row's

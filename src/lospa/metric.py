@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assignment import SolverBackend, solve_stack
+from .assignment import SolverBackend, _settle_job
 from .core import BaseMetric, LospaParams, MultiTargetState, _as_readonly, _pair_costs
 
 __all__ = ["MetricKind", "LospaResult", "lospa", "ospa_no_cutoff"]
@@ -75,8 +75,9 @@ def lospa(
     Raises:
         DimensionMismatch: if A and B differ in target count or dimension.
         CapExceeded: brute-force backend with too many targets.
+        InvalidCost: if a cost or the minimum total overflows the float64 range.
     """
-    perms, totals = solve_stack(_pair_costs(A, B, params)[-1:], backend)
+    perms, totals = _settle_job(_pair_costs(A, B, params)[-1:], 1, 0.0, backend)[0]()
     kind = MetricKind.LOSPA if params.alpha > 0.0 else MetricKind.OSPA
     distance = _distance(float(totals[0]), A.num_targets, params.p)
     return LospaResult(distance, _as_readonly(perms[0], np.int64), kind)

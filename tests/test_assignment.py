@@ -252,6 +252,34 @@ class TestOptimal:
             assert same_bits(sol.total_cost, path_cost(C, sol.perm))
 
 
+@pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_stack_with_a_non_finite_entry_is_refused(backend, bad):
+    mixed = np.ones((2, 3, 3))
+    mixed[0, 1, 2] = bad  # the first of two matrices
+    lone = np.ones((1, 2, 2))
+    lone[0, 0, 0] = bad
+    for C in (mixed, lone):
+        with pytest.raises(InvalidCost, match="cost stack contains NaN or infinity"):
+            solve_stack(C, backend)
+
+
+@pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)
+def test_total_overflow(backend):
+    # The greedy pairing (row 0 first) sums 1e308 + 1e308 and overflows,
+    # and so do the enumeration's partial sums; the optimum, 1.5e308, does
+    # not, and comes out without a warning.
+    C = np.array([[[1e308, 1.5e308], [0.0, 1e308]]])
+    perms, totals = solve_stack(C, backend)
+    assert perms.tolist() == [[1, 0]] and totals.tolist() == [1.5e308]
+    message = "total cost of an optimal pairing overflows"
+    with pytest.raises(InvalidCost, match=message):
+        solve_stack(np.full((2, 2, 2), 1e308), backend)
+    solver = solve_brute_force if backend is SolverBackend.BRUTE_FORCE else solve_optimal
+    with pytest.raises(InvalidCost, match=message):
+        solver(np.full((2, 2), 1e308))
+
+
 class TestCertificate:
     """Row minima that form a permutation, each strict, skip LSAP; ties do not."""
 
@@ -388,13 +416,13 @@ class TestThreadedLsap:
         states[certified] = truth.states[certified]
         stack = cost_stack(states, truth.states, params, np.empty((2 * T, 20, 20)))
         steps = [C.tobytes() for C in stack[:T]]  # localization costs, step by step
-        real, main, threads = evaluate_module._settle, threading.get_ident(), {}
+        real, main, threads = assignment._settle, threading.get_ident(), {}
 
         def recorded(C, *args):
             threads[steps.index(C[0].tobytes())] = threading.get_ident()
             return real(C, *args)
 
-        monkeypatch.setattr(evaluate_module, "_settle", recorded)
+        monkeypatch.setattr(assignment, "_settle", recorded)
         evaluate(truth, Trajectory(range(T), states), params)
         assert sorted(threads) == list(range(T))
         assert [step for step, thread in threads.items() if thread != main] == pooled

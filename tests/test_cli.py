@@ -173,6 +173,22 @@ class TestComputeErrors:
         assert err.startswith("lospa-eval: error: ") and err.count("\n") == 1
         assert "overflow" in err
 
+    @pytest.mark.parametrize("backend", ["optimal", "brute"])
+    def test_overflowing_total_is_one_line_exit_2(self, tmp_path, capsys, backend):
+        # Every cost, 1.69e308, is finite; a total of two is not.
+        truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+        truth.write_text(csv_text([(0, [[0.0], [0.0]])], t=2, nx=1))
+        est.write_text(csv_text([(0, [[1.3e154], [1.3e154]])], t=2, nx=1))
+        code = main(
+            ["compute", "--truth", str(truth), "--est", str(est), "--p", "2",
+             "--alpha", "0.5", "--metric", "euclidean", "--backend", backend]
+        )
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (
+            "lospa-eval: error: the total cost of an optimal pairing overflows the float64 range\n"
+        )
+
     def test_header_names_contradicting_the_sidecar(self, traj_files, tmp_path, capsys):
         truth, _ = traj_files
         bad = tmp_path / "bad.csv"

@@ -443,7 +443,7 @@ class TestSweep:
 def two_solve(*args, **kwargs):
     """``evaluate`` with the fixed-point rule off: LSAP solves every uncertified half."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluate_module, "_reuses_labelled", lambda *_: False)
+        patch.setattr(assignment, "_reuses_labelled", lambda *_: False)
         return evaluate(*args, **kwargs)
 
 
@@ -476,13 +476,13 @@ def assert_matches_two_solve(truth, est, params):
 
 def rule_results(monkeypatch):
     """List that receives what every ``_reuses_labelled`` call returns."""
-    real, results = evaluate_module._reuses_labelled, []
+    real, results = assignment._reuses_labelled, []
 
     def recorded(*args):
         results.append(real(*args))
         return results[-1]
 
-    monkeypatch.setattr(evaluate_module, "_reuses_labelled", recorded)
+    monkeypatch.setattr(assignment, "_reuses_labelled", recorded)
     return results
 
 
@@ -593,7 +593,7 @@ class TestFixedPointRule:
         assert results == [False]
         assert report.to_json() == two_solve(*args).to_json()
         # With a guard one bit looser, that arbitrary pairing would stand.
-        monkeypatch.setattr(evaluate_module, "_GUARD_BITS", 17)
+        monkeypatch.setattr(assignment, "_GUARD_BITS", 17)
         assert evaluate(*args).ospa[0] > report.ospa[0]
 
     def test_lsap_calls_per_step(self, lsap_calls):

@@ -6,6 +6,7 @@ slot.  Golden numbers below were frozen from ``helpers.enum_lospa`` (pure
 Python enumeration) before the library existed.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from lospa import (
     CapExceeded,
     DimensionMismatch,
+    InvalidCost,
     LospaParams,
     MetricKind,
     MultiTargetState,
@@ -31,6 +33,9 @@ from helpers import ESTIMATE_POINTS, TRUTH_POINTS, enum_lospa, expected_table_va
 
 TRUTH = mts(TRUTH_POINTS)
 ESTIMATES = [mts(points) for points in ESTIMATE_POINTS]
+
+# The package re-exports the function under the module's name.
+evaluate_module = importlib.import_module("lospa.evaluate")
 
 # (row, alpha) -> value frozen from the enumeration oracle.
 GOLDEN = {
@@ -135,6 +140,59 @@ def test_lospa_and_ospa_equal_separate_calls(backend, alpha):
                 labelled.distance, labelled.optimal_perm.tolist()
             )
             assert report.ospa[i] == unlabelled.distance
+
+
+def assert_rows_match_lospa(truth, est, params, backend):
+    """``lospa()`` on step k gives ``evaluate``'s row k: the distance's bits and the pairing."""
+    T = len(truth)
+    report = evaluate(Trajectory(range(T), truth), Trajectory(range(T), est), params, backend)
+    for k, (A, B) in enumerate(zip(est, truth)):
+        result = lospa(MultiTargetState(A), MultiTargetState(B), params, backend)
+        assert np.float64(result.distance).view(np.int64) == report.lospa[k].view(np.int64)
+        assert result.optimal_perm.tolist() == report.perms[k].tolist()
+
+
+@pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
+def test_lospa_gives_evaluates_rows_bit_for_bit(backend, alpha, t):
+    # All six steps are one chunk.  Random steps go to LSAP, near-correct
+    # ones are certified, and states on an integer grid tie.
+    rng = np.random.default_rng(30 + t)
+    truth, est = rng.uniform(-5.0, 5.0, size=(2, 6, t, 2))
+    est[2:4] = truth[2:4] + rng.normal(scale=0.01, size=(2, t, 2))
+    truth[4:], est[4:] = rng.integers(0, 3, size=(2, 2, t, 2))
+    assert_rows_match_lospa(truth, est, LospaParams(p=1.5, alpha=alpha), backend)
+
+
+def test_lospa_gives_evaluates_rows_at_t_300(monkeypatch, lsap_calls):
+    # One step per chunk: a near-correct step that the sweep certifies, an
+    # exact one that the sweep gives up on (zero costs) and the certificate
+    # settles, and a random one for LSAP.
+    t, rng = 300, np.random.default_rng(31)
+    truth = 10.0 * np.arange(t)[:, None] + rng.normal(scale=0.5, size=(3, t, 2))
+    est = truth.copy()
+    est[0] += rng.normal(scale=0.1, size=(t, 2))
+    est[2] = rng.uniform(-5.0, 10.0 * t, size=(t, 2))
+    real, swept = evaluate_module._sweep, []
+
+    def recorded(*args):
+        swept.append(real(*args))
+        return swept[-1]
+
+    monkeypatch.setattr(evaluate_module, "_sweep", recorded)
+    assert_rows_match_lospa(truth, est, LospaParams(alpha=0.6), SolverBackend.OPTIMAL)
+    assert [total is not None for total in swept] == [True, False, False]
+    # evaluate solves both halves of the random step, whose labelled pairing
+    # keeps a target; lospa() solves its labelled matrix.
+    assert len(lsap_calls) == 3
+
+
+@pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)
+def test_overflowing_total_raises(backend):
+    # Every cost, 1.69e308, is finite; the sum of two is not.
+    with pytest.raises(InvalidCost, match="total cost of an optimal pairing overflows"):
+        lospa(mts([1.3e154, 1.3e154]), mts([0, 0]), LospaParams(p=2.0, alpha=0.5), backend)
 
 
 def test_kind_tag():
