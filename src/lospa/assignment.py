@@ -70,8 +70,9 @@ def path_cost(C: CostMatrix | np.ndarray, perm) -> float:
     equals their totals bit for bit, the sign of a zero included.
 
     Raises ValueError if an entry is not an integer (a float, a bool) or the
-    entries are not a permutation, and DimensionMismatch unless the pairing
-    has one entry per row.
+    entries are not a permutation, DimensionMismatch unless the pairing
+    has one entry per row, and InvalidCost if the total overflows the
+    float64 range, as the solvers do.
     """
     entries = _cost_matrix(C).entries
     perm = [_as_int(v, "a pairing entry") for v in perm]
@@ -80,7 +81,11 @@ def path_cost(C: CostMatrix | np.ndarray, perm) -> float:
         raise DimensionMismatch(f"pairing has {t} entries, cost matrix has {len(entries)} rows")
     if sorted(perm) != list(range(t)):
         raise ValueError(f"not a permutation of 0..{t - 1}: {tuple(perm)}")
-    return float(_totals(entries[None], np.array([perm], dtype=np.intp))[0])
+    with np.errstate(over="ignore"):  # a total that overflows raises below
+        total = float(_totals(entries[None], np.array([perm], dtype=np.intp))[0])
+    if not np.isfinite(total):
+        raise InvalidCost("the total cost of the pairing overflows the float64 range")
+    return total
 
 
 def _check_cap(t: int, cap: int) -> None:

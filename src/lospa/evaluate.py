@@ -69,6 +69,8 @@ _CHUNK_ENTRIES = 1 << 18
 
 # Most in-band pairs per target that _sweep computes before it gives up: a
 # near-correct step has about one, an unrelated one a sizeable share of t.
+# The band of a row whose estimate sits at another target's truth reaches
+# its own truth, so one swapped pair can span most truths between them.
 _SWEEP_PAIRS = 4
 
 # Fewest entries per matrix for which LSAP runs in threads.  On scipy 1.17.1,
@@ -218,10 +220,12 @@ def _solve_steps(
 
     Works through the (T, t, n_x) state stacks a chunk of n steps at a time.
     On the optimal backend, where a chunk holds a single step and q is 1 or
-    2, the step is first offered to :func:`_sweep`; a step it certifies is
-    neither built nor solved.  Every other chunk is built on the main
-    thread, into a buffer of its own that holds both halves at alpha > 0,
-    and ``assignment._settle_job`` reads its certificate.  The job that
+    2, the step is first offered to :func:`_sweep`.  A step whose halves
+    it certifies, each by the identity or any other pairing of strict row
+    minima, gets its labelled pairing and both totals from it and is
+    neither built nor solved.  Every other chunk is built on the main thread, into a buffer
+    of its own that holds both halves at alpha > 0, and
+    ``assignment._settle_job`` reads its certificate.  The job that
     settles the rest is large when it leaves LSAP a matrix and one LSAP
     solve reads at least ``_THREAD_MIN_ENTRIES`` entries, so only one-step
     chunks can be; a chunk the certificate settles separates two that need
@@ -255,10 +259,9 @@ def _solve_steps(
 
     try:
         for lo in range(0, T, size):
-            total = _sweep(est[lo], truth[lo], params) if sweep else None
-            if total is not None:
-                perms[lo] = np.arange(t)
-                totals[:, lo] = total
+            swept = _sweep(est[lo], truth[lo], params) if sweep else None
+            if swept is not None:
+                perms[lo], totals[:, lo] = swept
                 continue
             steps = slice(lo, min(lo + size, T))
             n = steps.stop - lo
@@ -283,32 +286,40 @@ def _solve_steps(
     return perms, totals[1], totals[0]
 
 
-def _sweep(x: np.ndarray, y: np.ndarray, params: LospaParams) -> float | None:
-    """The identity's total if the row-minimum certificate would keep it, else None.
+def _sweep(
+    x: np.ndarray, y: np.ndarray, params: LospaParams
+) -> tuple[np.ndarray, tuple[float, float]] | None:
+    """The pairing and totals the row-minimum certificate would give, else None.
 
     ``x`` and ``y`` are one step's (t, n_x) estimate and truth; q is 1 or 2.
-    The certificate keeps the identity when every diagonal cost is its row's
-    strict minimum.  The identity is then the unique optimum of both halves,
-    and both totals are the diagonal summed left to right.  This decides
-    that without the t x t costs:
+    The certificate keeps a half's row argmins when they form a permutation
+    of strict row minima; that pairing is then the half's unique optimum,
+    and its total is the row minima summed left to right.  This reads each
+    half's row minima without the t x t costs, and returns
+    ``(psi, (localization total, labelled total))`` when both halves are
+    certified, psi being the labelled pairing:
 
     * A truth can undercut the diagonal cost of estimate i only if its first
       coordinate lies within ``reach[i]`` of x[i]'s (the diagonal distance
       plus a relative margin).  ``searchsorted`` on the sorted truths finds
       these bands, and their pairs get their exact costs, the bits
-      ``cost_stack`` gives them.
+      ``cost_stack`` gives them; off the diagonal, the labelled half adds
+      alpha**p to each, as ``cost_stack`` does.  Each row's minimum over
+      its band is its minimum over the row.
     * A truth outside the band differs from x[i] by more than ``reach[i]``
       in the first coordinate, as the band's edges are rounded to nearest
       and the truths are floats.  Every operation of a cost is monotone
       except the power, which is faithful, so its cost is at least
       ``floor[i]``, the cost of ``reach[i]`` along one axis, less an ulp.
-      ``floor`` must clear the diagonal by a few ulps, which needs normal
-      diagonal costs: zero and subnormal ones give up.
+      ``floor`` must clear the diagonal, and so the row minimum, by a few
+      ulps, which needs normal diagonal costs: zero and subnormal ones give
+      up.  A labelled cost is no smaller than its localization cost.
     * No cost exceeds the one across the states' bounding box.  Unless twice
       that plus alpha**p is finite, it gives up, and ``cost_stack`` raises
       ``InvalidCost`` if a cost does overflow.
 
-    It also gives up once the bands hold more than ``_SWEEP_PAIRS * t`` pairs.
+    It also gives up once the bands hold more than ``_SWEEP_PAIRS * t``
+    pairs, and on a tie or a collision of row argmins in either half.
     """
     t = len(x)
     q, p = params.base_metric.q, params.p
@@ -340,13 +351,26 @@ def _sweep(x: np.ndarray, y: np.ndarray, params: LospaParams) -> float | None:
     pairs = int(counts.sum())
     if pairs > _SWEEP_PAIRS * t:
         return None
+    # Row i's pairs are [heads[i], heads[i] + counts[i]); every band holds
+    # its own diagonal, whose cost is below floor, so none is empty.
+    heads = np.cumsum(counts) - counts
     rows = np.repeat(np.arange(t), counts)
-    cols = order[np.arange(pairs) - np.repeat(np.cumsum(counts) - counts - start, counts)]
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    if not (costs(x[rows], y[cols]) > diag[rows]).all():
-        return None
-    return float(np.cumsum(diag)[-1])
+    cols = order[np.arange(pairs) - np.repeat(heads - start, counts)]
+    off = (rows != cols).nonzero()[0]
+    band = diag[rows]
+    band[off] = costs(x[rows[off]], y[cols[off]])
+    labelled = band.copy()
+    labelled[off] += penalty
+    totals = []
+    for half in (band, labelled) if params.alpha > 0.0 else (band,):
+        mins = np.minimum.reduceat(half, heads)
+        # Every row attains its minimum, so psi holds t columns or more:
+        # no column twice means one per row, no tie, and a permutation.
+        psi = cols[half == mins[rows]]
+        if np.bincount(psi, minlength=t).max() > 1:
+            return None
+        totals.append(float(np.cumsum(mins)[-1]))
+    return psi, (totals[0], totals[-1])
 
 
 # --- built-in demo ---------------------------------------------------------

@@ -60,6 +60,14 @@ def test_path_cost_needs_a_permutation():
             path_cost(np.zeros((3, 3)), mapping)
 
 
+@pytest.mark.filterwarnings("error")
+def test_path_cost_overflow_raises_without_a_warning():
+    # Every entry is finite; the total of either pairing is not.
+    with pytest.raises(InvalidCost, match="total cost of the pairing overflows"):
+        path_cost(np.full((2, 2), 1e308), (0, 1))
+    assert path_cost(np.array([[1e308, 0.0], [0.0, 7e307]]), (0, 1)) == 1.7e308
+
+
 @pytest.mark.parametrize("solver", [solve_brute_force, solve_optimal])
 def test_pairing_is_a_read_only_int64_array(solver):
     perm = solver(np.array([[100.0, 1.0], [1.0, 100.0]])).perm

@@ -285,6 +285,18 @@ def sweep_results(monkeypatch):
     return results
 
 
+def counted_builds(monkeypatch):
+    """List that receives the step count of every ``cost_stack`` call of ``evaluate``."""
+    builds = []
+
+    def counted(xs, ys, params, out):
+        builds.append(len(xs))
+        return cost_stack(xs, ys, params, out)
+
+    monkeypatch.setattr(evaluate_module, "cost_stack", counted)
+    return builds
+
+
 def spread(t, scale=10.0):
     """(t, 1) truths ``scale`` apart, and estimates 1% of that off them."""
     truth = scale * np.arange(t, dtype=float)[:, None]
@@ -329,21 +341,85 @@ class TestSweep:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_cost_stack_only_for_uncertified_steps(self, monkeypatch, alpha):
-        # Every other step swaps a pair: steps 0, 2 and 4 are not the identity.
+        # Every other step swaps a pair: steps 0, 2 and 4 are not the
+        # identity, but still a pairing of strict row minima in both halves.
         truth, near, _ = near_and_random(np.random.default_rng(66), 6, 400)
         args = (Trajectory(range(6), truth), Trajectory(range(6), near), LospaParams(alpha=alpha))
         expected = dense(*args).to_json()
-        builds = []
+        builds = counted_builds(monkeypatch)
+        results = sweep_results(monkeypatch)
+        report = evaluate(*args)
+        assert report.to_json() == expected
+        assert [r is not None for r in results] == [True] * 6
+        assert builds == []
+        moved = (report.perms != np.arange(400)).sum(axis=1)
+        assert moved.tolist() == [2, 0] * 3
 
-        def counted(xs, ys, params, out):
-            builds.append(len(xs))
-            return cost_stack(xs, ys, params, out)
-
-        monkeypatch.setattr(evaluate_module, "cost_stack", counted)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_colliding_argmins_are_built(self, monkeypatch, lsap_calls, alpha):
+        # Truths 0 and 1 lie closer than the noise, and estimates 0 and 1
+        # are both nearest truth 0: the localization argmins collide, so
+        # the sweep gives up.  LSAP solves the localization half; at
+        # alpha = 1 the certificate settles the labelled one.
+        truth, near, _ = near_and_random(np.random.default_rng(66), 2, 400)
+        truth, near = truth[1:], near[1:]  # step 1 swaps no pair
+        truth[0, :2] = [[0.0, 0.0], [0.1, 0.0]]
+        near[0, :2] = [[0.04, 0.0], [0.02, 0.0]]
+        args = (Trajectory([0], truth), Trajectory([0], near), LospaParams(alpha=alpha))
+        expected = dense(*args).to_json()
+        lsap_calls.clear()
+        builds = counted_builds(monkeypatch)
         results = sweep_results(monkeypatch)
         assert evaluate(*args).to_json() == expected
-        assert [r is not None for r in results] == [False, True] * 3
-        assert builds == [1, 1, 1]
+        assert results == [None]
+        assert builds == [1]
+        assert len(lsap_calls) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=st.sampled_from([257, 400]),
+        nx=st.integers(1, 3),
+        alpha=st.sampled_from([0.0, 0.5]),
+        q=st.sampled_from([1.0, 2.0]),
+        p=st.sampled_from([1.0, 2.0, 7.0]),
+        noise=st.sampled_from([1e-3, 0.3, 5.0]),
+        swaps=st.integers(0, 3),
+        cycle=st.booleans(),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_swept_pairing_and_totals_are_the_built_ones(
+        self, t, nx, alpha, q, p, noise, swaps, cycle, duplicate, seed
+    ):
+        # Truths about 10 apart along the diagonal, two of them the same if
+        # ``duplicate``; the estimate moves targets by up to three
+        # transpositions and a 3-cycle.
+        rng = np.random.default_rng(seed)
+        truth = 10.0 * np.arange(t)[:, None] + rng.normal(scale=0.5, size=(t, nx))
+        if duplicate:
+            i, j = rng.choice(t, size=2, replace=False)
+            truth[i] = truth[j]
+        est = truth + rng.normal(scale=noise, size=truth.shape)
+        for _ in range(swaps):
+            i, j = rng.choice(t, size=2, replace=False)
+            est[[i, j]] = est[[j, i]]
+        if cycle:
+            i, j, k = rng.choice(t, size=3, replace=False)
+            est[[i, j, k]] = est[[j, k, i]]
+        params = LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q))
+        swept = evaluate_module._sweep(est, truth, params)
+        if swaps == 1 and not cycle and not duplicate and noise == 1e-3:
+            assert swept is not None
+        if swept is not None:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluate_module, "_sweep", lambda *_: None)
+                perms, lospa_totals, ospa_totals = evaluate_module._solve_steps(
+                    est[None], truth[None], params, SolverBackend.OPTIMAL
+                )
+            psi, totals = swept
+            assert psi.tolist() == perms[0].tolist()
+            built = [ospa_totals[0], lospa_totals[0]]
+            assert np.array(totals).view(np.int64).tolist() == np.array(built).view(np.int64).tolist()
 
     def test_exact_estimates_fall_back(self, monkeypatch):
         # Zero diagonal costs: the identity is still the strict optimum.
