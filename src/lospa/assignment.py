@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import DEFAULT_BRUTE_CAP
-from .core import CostMatrix, _as_int, _as_readonly
+from .core import CostMatrix, _as_int, _as_readonly, _as_real
 from .errors import CapExceeded, DimensionMismatch, InvalidCost
 
 __all__ = [
@@ -102,12 +102,19 @@ def _check_cap(t: int, cap: int) -> None:
 _FRONTIER_ENTRIES = 1 << 12
 
 
+def _sum_in_order(costs: np.ndarray) -> np.ndarray:
+    """The costs along the last axis summed strictly left to right: every pairing's total.
+
+    This is cumsum without its Python wrapper; ``evaluate``'s sweep sums its
+    row minima here too, so all totals come from one sum.
+    """
+    return np.add.accumulate(costs, axis=-1)[..., -1]
+
+
 def _totals(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Cost of ``perms[i]`` on ``C[i]``, summed left to right as :func:`path_cost` does."""
     n, t = perms.shape
-    picked = C[np.arange(n)[:, None], np.arange(t), perms]
-    # cumsum without its Python wrapper; it adds strictly left to right.
-    return np.add.accumulate(picked, axis=1)[:, -1]
+    return _sum_in_order(C[np.arange(n)[:, None], np.arange(t), perms])
 
 
 def _upper_bound_pairing(C: np.ndarray) -> np.ndarray:
@@ -355,8 +362,8 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
 
     The lexicographically smallest cheapest pairing survives both rules.
 
-    The stack is read as float64 once, here, which copies any other dtype
-    but never a float64 stack, and checked for NaN and infinity.  It is
+    The stack is read as float64 once, here, which copies any other real
+    dtype but never a float64 stack, and checked for NaN and infinity.  It is
     then :func:`_settle_job`'s one-half case, which the other solvers,
     ``lospa()`` and ``evaluate`` reach with stacks checked already.
 
@@ -366,13 +373,14 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         equals :func:`path_cost` bit for bit.
 
     Raises:
-        InvalidCost: if ``C`` is not a non-empty stack of square matrices,
+        InvalidCost: if ``C`` is not a non-empty stack of square matrices
+            of real numbers (a bool, complex or string array is refused),
             has a NaN or infinite entry, or a total overflows the float64
             range.
         CapExceeded: brute-force backend with more than
             ``DEFAULT_BRUTE_CAP`` targets.
     """
-    C = np.asarray(C, dtype=float)
+    C = _as_real(C, InvalidCost, copy=False)
     if C.ndim != 3 or C.shape[1] != C.shape[2] or 0 in C.shape:
         raise InvalidCost(f"expected an (n, t, t) stack of cost matrices, got shape {C.shape}")
     if not np.isfinite(C).all():

@@ -33,8 +33,24 @@ __all__ = [
 ]
 
 
-def _as_readonly(arr: np.ndarray, dtype=float) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
+def _as_real(values, error=ValueError, copy=True) -> np.ndarray:
+    """``values`` as a new float64 array, or themselves if ``copy`` is false and they are one.
+
+    Integer, float and object arrays are read; bool, complex, string and
+    bytes arrays raise ``error`` naming their dtype, rather than be cast, and
+    so does an object array with an entry that ``float`` cannot read.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iufO":
+        try:
+            return arr.astype(float, copy=copy)
+        except (TypeError, ValueError):
+            pass
+    raise error(f"expected real numbers, got {arr.dtype} values")
+
+
+def _as_readonly(arr: np.ndarray, dtype=float, error=ValueError) -> np.ndarray:
+    out = _as_real(arr, error) if dtype is float else np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -72,9 +88,10 @@ class MultiTargetState:
 
     def __post_init__(self):
         try:
-            arr = _as_readonly(self.points)
+            arr = np.asarray(self.points)
         except ValueError as exc:
             raise DimensionMismatch(f"targets must be equal-length real vectors: {exc}") from None
+        arr = _as_readonly(arr)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(
                 f"a multitarget state must be a (t, n_x) array with t, n_x >= 1, "
@@ -215,7 +232,7 @@ class CostMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly(self.entries)
+        arr = _as_readonly(self.entries, error=InvalidCost)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidCost(f"cost matrix must be square and non-empty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import SolverBackend, _lsap_module, _settle_job
+from .assignment import SolverBackend, _lsap_module, _settle_job, _sum_in_order
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import LospaParams, _minkowski_costs, _require_same_shape, cost_stack
 from .errors import TimestepMismatch
@@ -64,7 +64,8 @@ _STEP = """\
     }}"""
 
 # Cost entries per chunk buffer, both halves counted (2 MiB of float64): at
-# alpha > 0 about five thousand steps at t = 5, a single step from t = 257 on.
+# alpha > 0 about five thousand steps at t = 5.  A one-step chunk (t >= 257 at
+# alpha > 0, t >= 363 at alpha = 0) is swept, and its LSAP job may run in threads.
 _CHUNK_ENTRIES = 1 << 18
 
 # Most in-band pairs per target that _sweep computes before it gives up: a
@@ -72,10 +73,6 @@ _CHUNK_ENTRIES = 1 << 18
 # The band of a row whose estimate sits at another target's truth reaches
 # its own truth, so one swapped pair can span most truths between them.
 _SWEEP_PAIRS = 4
-
-# Fewest entries per matrix for which LSAP runs in threads.  On scipy 1.17.1,
-# two threads took 0.53-0.75x the serial time from t = 288 up, 1.05-8x at t <= 200.
-_THREAD_MIN_ENTRIES = 1 << 17
 
 # Most threads in evaluate's LSAP pool.  A one-step chunk holds its own
 # (2, t, t) buffer while its job runs, so a run keeps at most one buffer more
@@ -218,23 +215,23 @@ def _solve_steps(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labelled pairings and labelled/unlabelled totals for every step.
 
-    Works through the (T, t, n_x) state stacks a chunk of n steps at a time.
-    On the optimal backend, where a chunk holds a single step and q is 1 or
-    2, the step is first offered to :func:`_sweep`.  A step whose halves
-    it certifies, each by the identity or any other pairing of strict row
-    minima, gets its labelled pairing and both totals from it and is
-    neither built nor solved.  Every other chunk is built on the main thread, into a buffer
-    of its own that holds both halves at alpha > 0, and
-    ``assignment._settle_job`` reads its certificate.  The job that
-    settles the rest is large when it leaves LSAP a matrix and one LSAP
-    solve reads at least ``_THREAD_MIN_ENTRIES`` entries, so only one-step
-    chunks can be; a chunk the certificate settles separates two that need
-    LSAP.  A job runs inline when its result is stored, unless its chunk
-    and the one built before it are both large.  Then, if the process may
-    run on two or more CPUs, one pool of up to ``_WORKERS`` threads starts
-    for the rest of the run, and that job and every later large one go to
-    it; scipy releases the GIL while it solves.  A lone large chunk, small
-    chunks and a one-CPU process never import ``concurrent.futures``.
+    Works through the (T, t, n_x) state stacks a chunk of n steps at a time,
+    n set by ``_CHUNK_ENTRIES``.  Where a chunk holds one step, on the
+    optimal backend at q in {1, 2}, the step is first offered to
+    :func:`_sweep`.  A step whose halves it certifies, each by the identity
+    or any other pairing of strict row minima, gets its labelled pairing and
+    both totals from it and is neither built nor solved.  Every other chunk
+    is built on the main thread, into a buffer of its own that holds both
+    halves at alpha > 0, and ``assignment._settle_job`` reads its
+    certificate.  The job that settles the rest is large when its chunk
+    holds one step and the certificate leaves LSAP a matrix; a step the
+    certificate settles separates two that need LSAP.  A job runs inline
+    when its result is stored, unless its chunk and the one built before it
+    are both large.  Then, if the process may run on two or more CPUs, one
+    pool of up to ``_WORKERS`` threads starts for the rest of the run, and
+    that job and every later large one go to it; scipy releases the GIL
+    while it solves.  A lone large chunk, multi-step chunks and a one-CPU
+    process never import ``concurrent.futures``.
 
     Results are stored in step order, the oldest first, while more than
     ``_WORKERS`` jobs are held, or any without a pool: so the main thread
@@ -267,7 +264,7 @@ def _solve_steps(
             n = steps.stop - lo
             C = cost_stack(est[steps], truth[steps], params, np.empty((halves * n, t, t)))
             job, certified = _settle_job(C, n, params.alpha**params.p, backend)
-            large = not certified.all() and t * t >= _THREAD_MIN_ENTRIES
+            large = size == 1 and not certified.all()
             if pool is None and large and last_large and (cpus := _cpus()) >= 2:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -369,7 +366,7 @@ def _sweep(
         psi = cols[half == mins[rows]]
         if np.bincount(psi, minlength=t).max() > 1:
             return None
-        totals.append(float(np.cumsum(mins)[-1]))
+        totals.append(float(_sum_in_order(mins)))
     return psi, (totals[0], totals[-1])
 
 
@@ -441,8 +438,8 @@ class DemoReport:
         return "\n".join(lines) + "\n"
 
 
-def run_demo(backend: SolverBackend = SolverBackend.OPTIMAL) -> DemoReport:
-    """Reproduce the built-in 3-target, 1-D example at alpha = 0.1 and 1.
+def run_demo() -> DemoReport:
+    """Reproduce the built-in 3-target, 1-D example at alpha = 0.1 and 1, on the optimal backend.
 
     Each estimate displaces every target by 0.1; they differ only in how many
     targets sit in another target's slot (0, 2, or 3), so the labelled
@@ -453,8 +450,7 @@ def run_demo(backend: SolverBackend = SolverBackend.OPTIMAL) -> DemoReport:
     truth_traj = Trajectory(ks, np.array([_DEMO_TRUTH for _ in ks])[..., None])
     est_traj = Trajectory(ks, np.array(_DEMO_ESTIMATES)[..., None])
     reports = tuple(
-        evaluate(truth_traj, est_traj, LospaParams(p=2.0, alpha=alpha), backend=backend)
-        for alpha in _DEMO_ALPHAS
+        evaluate(truth_traj, est_traj, LospaParams(p=2.0, alpha=alpha)) for alpha in _DEMO_ALPHAS
     )
     cells = tuple(
         DemoCell(

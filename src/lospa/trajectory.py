@@ -45,7 +45,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from .core import _as_int, _echo
+from .core import _as_int, _as_real, _echo
 from .errors import InconsistentShape, NonFiniteValue, ParseError
 
 __all__ = ["Trajectory", "load_trajectory"]
@@ -78,9 +78,10 @@ class Trajectory:
             raise ValueError(f"time indices must be 64-bit integers, got {ks.dtype} values")
         ks = ks.astype(np.int64)
         try:
-            states = np.array(self.states, dtype=float)
+            states = np.asarray(self.states)
         except ValueError:
             raise InconsistentShape("states do not form a (T, t, n_x) array") from None
+        states = _as_real(states)
         if states.ndim != 3 or states.shape[0] != ks.size or 0 in states.shape:
             raise InconsistentShape(
                 f"states have shape {states.shape}; expected ({ks.size}, t, n_x) "

@@ -352,6 +352,12 @@ def one_step_chunks(monkeypatch, T, t, certified, seed, alpha=0.5):
     return Trajectory(range(T), truth), Trajectory(range(T), est), LospaParams(alpha=alpha)
 
 
+def random_steps(T, t, alpha, seed):
+    """``evaluate``'s arguments for ``T`` steps of ``t`` random targets in the plane."""
+    truth, est = np.random.default_rng(seed).uniform(0.0, 10.0, size=(2, T, t, 2))
+    return Trajectory(range(T), truth), Trajectory(range(T), est), LospaParams(alpha=alpha)
+
+
 class TestThreadedLsap:
     """evaluate's chunk loop solves large uncertified steps in threads, with serial results.
 
@@ -360,7 +366,6 @@ class TestThreadedLsap:
 
     @pytest.mark.parametrize("t", [2, 5, 20])
     def test_pool_matches_serial_bit_for_bit(self, monkeypatch, lsap_calls, pools, t):
-        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         args = one_step_chunks(monkeypatch, 9, t, [0, 3, 6], seed=70 + t)
         set_cpus(monkeypatch, 1)
         serial = evaluate(*args)
@@ -374,21 +379,39 @@ class TestThreadedLsap:
             a, b = getattr(serial, name), getattr(pooled, name)
             assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
+    @pytest.mark.parametrize(
+        "alpha, t, pooled",
+        [(1.0, 256, False), (1.0, 257, True), (0.0, 362, False), (0.0, 363, True)],
+    )
+    def test_pool_only_for_one_step_chunks(self, monkeypatch, lsap_calls, pools, alpha, t, pooled):
+        # With the real _CHUNK_ENTRIES a chunk holds one step from t = 257 at
+        # alpha > 0 and from t = 363 at alpha = 0.  Random steps need LSAP.
+        set_cpus(monkeypatch, 2)
+        evaluate(*random_steps(3, t, alpha, seed=t))
+        assert len(lsap_calls) >= 3
+        assert pools == ([2] if pooled else [])
+
+    def test_pool_matches_serial_at_the_real_chunk_size(self, monkeypatch, pools):
+        args = random_steps(3, 300, 1.0, seed=78)
+        set_cpus(monkeypatch, 1)
+        serial = evaluate(*args)
+        assert pools == []
+        set_cpus(monkeypatch, 2)
+        pooled = evaluate(*args)
+        assert pools == [2]
+        assert pooled.to_json() == serial.to_json()
+
     def test_workers_capped_at_two(self, monkeypatch, pools):
-        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         set_cpus(monkeypatch, 8)
         evaluate(*one_step_chunks(monkeypatch, 3, 6, [], seed=74))
         assert pools == [evaluate_module._WORKERS] == [2]
 
     @pytest.mark.parametrize(
-        "cpus, min_entries, certified",
-        [(2, 1, [0, 2]), (1, 1, []), (2, 401, [])],
-        ids=["one_uncertified", "one_cpu", "below_threshold"],
+        "cpus, certified", [(2, [0, 2]), (1, [])], ids=["one_uncertified", "one_cpu"]
     )
-    def test_no_pool(self, monkeypatch, lsap_calls, cpus, min_entries, certified):
-        # At alpha = 0 each uncertified step is one LSAP solve of 400 entries.
+    def test_no_pool(self, monkeypatch, lsap_calls, cpus, certified):
+        # At alpha = 0 each uncertified step is one LSAP solve.
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", min_entries)
         set_cpus(monkeypatch, cpus)
         truth, est, params = one_step_chunks(monkeypatch, 3, 20, certified, seed=72, alpha=0.0)
         report = evaluate(truth, est, params)
@@ -399,7 +422,6 @@ class TestThreadedLsap:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch, pools, cpus):
-        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         evaluate(*one_step_chunks(monkeypatch, 4, 5, [], seed=73))
@@ -417,7 +439,6 @@ class TestThreadedLsap:
         # estimates equal the truths (the sweep gives up on zero costs), so it
         # separates the steps around it.  The first of two consecutive large
         # steps has run inline when the second comes, which starts the pool.
-        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         set_cpus(monkeypatch, 2)
         truth, est, params = one_step_chunks(monkeypatch, T, 20, [], seed=77)
         states = est.states.copy()
@@ -449,7 +470,6 @@ class TestThreadedLsap:
             return real(C)
 
         monkeypatch.setattr(lsap, "linear_sum_assignment", failing)
-        monkeypatch.setattr(evaluate_module, "_THREAD_MIN_ENTRIES", 1)
         set_cpus(monkeypatch, 2)
         with pytest.raises(ArithmeticError) as err:
             evaluate(*one_step_chunks(monkeypatch, 4, 6, [], seed=75, alpha=0.0))

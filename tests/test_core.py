@@ -1,6 +1,8 @@
 """Domain types, the base metric family, and cost-matrix construction."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +12,15 @@ from lospa import (
     CostMatrix,
     DimensionMismatch,
     InvalidCost,
+    LabelledTarget,
     LospaParams,
     MultiTargetState,
     NonFiniteValue,
+    SolverBackend,
+    Trajectory,
     build_cost_matrix,
     parse_base_metric,
+    solve_stack,
 )
 from lospa.core import cost_stack
 
@@ -279,3 +285,37 @@ class TestBuildCostMatrix:
             build_cost_matrix(A, A, params)
         with pytest.raises(InvalidCost, match="overflows"):
             cost_stack(A.points[None], A.points[None], params, np.empty((2, 2, 2)))
+
+
+OPTIMAL, BRUTE = SolverBackend.OPTIMAL, SolverBackend.BRUTE_FORCE
+
+
+@pytest.mark.parametrize(
+    "make, error, dtype",
+    [
+        (lambda: MultiTargetState([["1"], ["2"]]), ValueError, "<U1"),
+        (lambda: MultiTargetState([[True], [False]]), ValueError, "bool"),
+        (lambda: MultiTargetState(np.array([[1 + 5j], [2]])), ValueError, "complex128"),
+        (lambda: MultiTargetState([[b"1"]]), ValueError, "|S1"),
+        (lambda: MultiTargetState([[2**70], [1j]]), ValueError, "object"),
+        (lambda: LabelledTarget(np.array([1j]), 1), ValueError, "complex128"),
+        (lambda: Trajectory([0], np.array([[[1 + 1j]]])), ValueError, "complex128"),
+        (lambda: Trajectory([0], [[[1j]]]), ValueError, "complex128"),
+        (lambda: Trajectory([0], [[[True]]]), ValueError, "bool"),
+        (lambda: CostMatrix([["1", "2"], ["3", "4"]]), InvalidCost, "<U1"),
+        (lambda: CostMatrix(np.eye(2, dtype=bool)), InvalidCost, "bool"),
+        (lambda: solve_stack([[["1", "2"], ["3", "0"]]], OPTIMAL), InvalidCost, "<U1"),
+        (lambda: solve_stack(np.ones((1, 2, 2)) * 1j, BRUTE), InvalidCost, "complex128"),
+    ],
+    ids=[
+        "state_str", "state_bool", "state_complex", "state_bytes", "state_object_complex",
+        "labelled_target_complex", "trajectory_complex", "trajectory_complex_list",
+        "trajectory_bool", "cost_matrix_str", "cost_matrix_bool", "stack_str", "stack_complex",
+    ],
+)
+def test_non_real_arrays_are_refused_not_cast(make, error, dtype):
+    # Casting would read "1" as 1.0 and True as 1.0, or drop an imaginary part.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would be a cast
+        with pytest.raises(error, match=f"got {re.escape(dtype)} values$"):
+            make()
