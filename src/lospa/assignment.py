@@ -274,16 +274,45 @@ def _settle_job(
     certificate, and its job enumerates.  Returns ``(job, certified)``:
     ``job()`` settles the rest and gives ``(perms, totals)`` for every
     matrix, and ``certified[i]`` says that matrix i needs no LSAP solve.
+
+    With two halves the localization half is read first.  A step it
+    certifies with the identity gets the identity as its certified labelled
+    pairing, unread: off the diagonal a labelled entry is fl(b + alpha**p)
+    >= b, and the diagonal is shared, so a strict identity minimum of the
+    localization matrix is one of the labelled matrix too, and the
+    labelled half's own argmins and certificate would give the same.  Only
+    the other steps' labelled matrices are read; the whole labelled half,
+    without a gather, when no step is such a step.
     """
     if backend is SolverBackend.OPTIMAL:
-        perms = C.argmin(axis=2)
-        certified = _certified(C, perms)
+        if len(C) == n:
+            perms = C.argmin(axis=2)
+            certified = _certified(C, perms)
+        else:
+            perms, certified = _certified_halves(C, n)
     elif backend is SolverBackend.BRUTE_FORCE:
         _check_cap(C.shape[1], DEFAULT_BRUTE_CAP)
         perms, certified = None, np.ones(len(C), dtype=bool)
     else:
         raise ValueError(f"unknown solver backend {backend!r}")
     return functools.partial(_settle, C, perms, certified, n, penalty), certified
+
+
+def _certified_halves(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row argmins and certificate of a two-half stack, as :func:`_settle_job` reads them."""
+    t = C.shape[1]
+    perms = np.empty((2 * n, t), dtype=np.intp)
+    certified = np.ones(2 * n, dtype=bool)
+    perms[:n] = C[:n].argmin(axis=2)
+    certified[:n] = _certified(C[:n], perms[:n])
+    identity = certified[:n] & (perms[:n] == np.arange(t)).all(axis=1)
+    perms[n:][identity] = np.arange(t)
+    rest = n + (~identity).nonzero()[0]
+    if len(rest):
+        labelled = C[n:] if len(rest) == n else C[rest]  # gathered only if steps are skipped
+        perms[rest] = labelled.argmin(axis=2)
+        certified[rest] = _certified(labelled, perms[rest])
+    return perms, certified
 
 
 def _settle(

@@ -14,6 +14,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -36,16 +37,20 @@ __all__ = [
 def _as_real(values, error=ValueError, copy=True) -> np.ndarray:
     """``values`` as a new float64 array, or themselves if ``copy`` is false and they are one.
 
-    Integer, float and object arrays are read; bool, complex, string and
-    bytes arrays raise ``error`` naming their dtype, rather than be cast, and
-    so does an object array with an entry that ``float`` cannot read.
+    Integer and float arrays are read, and object arrays whose entries are
+    all real numbers (``numbers.Real``, not bool).  Bool, complex, string
+    and bytes arrays, and object arrays with any other entry (a string, a
+    bool, None), raise ``error`` naming their dtype, rather than be cast;
+    an entry beyond the float64 range raises ``error`` naming the overflow.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind in "iufO":
+    if arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat
+    ):
         try:
             return arr.astype(float, copy=copy)
-        except (TypeError, ValueError):
-            pass
+        except OverflowError:
+            raise error("a value overflows the float64 range") from None
     raise error(f"expected real numbers, got {arr.dtype} values")
 
 

@@ -23,7 +23,7 @@ from .assignment import SolverBackend, _lsap_module, _settle_job, _sum_in_order
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import LospaParams, _minkowski_costs, _require_same_shape, cost_stack
 from .errors import TimestepMismatch
-from .metric import _distance
+from .metric import _distances
 from .trajectory import Trajectory
 
 __all__ = ["EvalReport", "evaluate", "DemoCell", "DemoReport", "run_demo"]
@@ -50,18 +50,17 @@ _REPORT = """\
   }}
 }}
 """
-# One entry of "per_step"; entries are joined by ",\n".  str.format puts in
-# the float spec and one "%d" per target, which gives the %-template that
-# each step's (k, lospa, ospa, *perm) fills.
+# One entry of "per_step"; entries are joined by ",\n".  Each step's k and
+# the texts of its lospa, ospa and pairing fill it.
 _STEP = """\
-    {{
+    {
       "k": %d,
-      "lospa": %{f},
-      "ospa": %{f},
+      "lospa": %s,
+      "ospa": %s,
       "optimal_perm": [
-        {perm}
+        %s
       ]
-    }}"""
+    }"""
 
 # Cost entries per chunk buffer, both halves counted (2 MiB of float64): at
 # alpha > 0 about five thousand steps at t = 5.  A one-step chunk (t >= 257 at
@@ -123,21 +122,29 @@ class EvalReport:
     def to_json(self) -> str:
         """Byte-deterministic JSON text (trailing newline included).
 
-        Every step is filled into one %-template built for this report's t,
-        from the columns as Python ints and floats; ``"%.17g" % x`` is
-        ``format(x, ".17g")``.
+        Every step fills one %-template, with its distances printed as
+        ``format(x, ".17g")``.  Each text is made once: a step's ``ospa``
+        takes its ``lospa`` text when the two floats have the same bits,
+        and every identity pairing takes one text made for the report.
         """
-        f = _FLOAT_SPEC
-        step = _STEP.format(f=f, perm=",\n        ".join(["%d"] * self.perms.shape[1]))
-        columns = zip(
-            self.k.tolist(), self.lospa.tolist(), self.ospa.tolist(), *self.perms.T.tolist()
-        )
+        T, t = self.perms.shape
+        separator = ",\n        "  # between a pairing's entries
+        lospa = [format(x, _FLOAT_SPEC) for x in self.lospa.tolist()]
+        ospa = lospa.copy()
+        differ = (self.lospa.view(np.int64) != self.ospa.view(np.int64)).nonzero()[0]
+        for i, x in zip(differ.tolist(), self.ospa[differ].tolist()):
+            ospa[i] = format(x, _FLOAT_SPEC)
+        perms = [separator.join(map(str, range(t)))] * T
+        moved = (self.perms != np.arange(t)).any(axis=1).nonzero()[0]
+        for i, row in zip(moved.tolist(), self.perms[moved].tolist()):
+            perms[i] = separator.join(map(str, row))
         echo = self.params_echo
         return _REPORT.format(
             p=float(echo.p), alpha=float(echo.alpha), metric=echo.base_metric.describe(),
-            backend=self.backend.value, steps=",\n".join(map(step.__mod__, columns)),
+            backend=self.backend.value,
+            steps=",\n".join(map(_STEP.__mod__, zip(self.k.tolist(), lospa, ospa, perms))),
             mean_lospa=self.mean_lospa, max_lospa=self.max_lospa, mean_ospa=self.mean_ospa,
-            f=f,
+            f=_FLOAT_SPEC,
         )
 
 
@@ -179,9 +186,10 @@ def evaluate(
             the message lists the offending indices on both sides.
         DimensionMismatch: target count or state dimension differs.
     """
-    truth_ks = set(truth.time_indices.tolist())
-    est_ks = set(estimate.time_indices.tolist())
-    if truth_ks != est_ks:
+    # Both are strictly increasing, so equal arrays are equal sets.
+    if not np.array_equal(truth.time_indices, estimate.time_indices):
+        truth_ks = set(truth.time_indices.tolist())
+        est_ks = set(estimate.time_indices.tolist())
         missing_in_est = sorted(truth_ks - est_ks)
         missing_in_truth = sorted(est_ks - truth_ks)
         raise TimestepMismatch(
@@ -191,13 +199,11 @@ def evaluate(
     _require_same_shape(truth, estimate, ("truth", "estimate"))
 
     perms, lospa_totals, ospa_totals = _solve_steps(estimate.states, truth.states, params, backend)
-    # Python's float ** per value: numpy's vectorised power can differ in
-    # the last bit, and the report prints every bit.
     t, p = truth.num_targets, params.p
     return EvalReport(
         k=truth.time_indices,
-        lospa=[_distance(total, t, p) for total in lospa_totals.tolist()],
-        ospa=[_distance(total, t, p) for total in ospa_totals.tolist()],
+        lospa=_distances(lospa_totals.tolist(), t, p),
+        ospa=_distances(ospa_totals.tolist(), t, p),
         perms=perms,
         params_echo=params,
         backend=backend,

@@ -79,13 +79,18 @@ def lospa(
     """
     perms, totals = _settle_job(_pair_costs(A, B, params)[-1:], 1, 0.0, backend)[0]()
     kind = MetricKind.LOSPA if params.alpha > 0.0 else MetricKind.OSPA
-    distance = _distance(float(totals[0]), A.num_targets, params.p)
+    [distance] = _distances(totals.tolist(), A.num_targets, params.p)
     return LospaResult(distance, _as_readonly(perms[0], np.int64), kind)
 
 
-def _distance(total_cost: float, t: int, p: float) -> float:
-    """The distance from the minimum total cost over t targets."""
-    return (total_cost / t) ** (1.0 / p)
+def _distances(totals: list[float], t: int, p: float) -> list[float]:
+    """The distances from minimum total costs over t targets.
+
+    Python's float ``**`` per value: numpy's vectorised power can differ in
+    the last bit, and reports print every bit.
+    """
+    root = 1.0 / p
+    return [(total / t) ** root for total in totals]
 
 
 def ospa_no_cutoff(

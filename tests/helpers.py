@@ -117,3 +117,51 @@ def source_tree_env():
 def set_cpus(monkeypatch, n):
     """Make the process look as if it may run on ``n`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+# The report file of EvalReport.to_json, rendered the plain way: one
+# %-template per step, built for the report's t, with every float formatted
+# where it appears.  The renderer shares texts between steps; this is what
+# it must print.
+_TEMPLATE_REPORT = """\
+{{
+  "params_echo": {{
+    "p": {p:.17g},
+    "alpha": {alpha:.17g},
+    "base_metric": "{metric}"
+  }},
+  "backend": "{backend}",
+  "per_step": [
+{steps}
+  ],
+  "aggregates": {{
+    "mean_lospa": {mean_lospa:.17g},
+    "max_lospa": {max_lospa:.17g},
+    "mean_ospa": {mean_ospa:.17g},
+    "note": "mean/max are summaries over timesteps; the distance itself is defined per timestep only"
+  }}
+}}
+"""
+_TEMPLATE_STEP = """\
+    {{
+      "k": %d,
+      "lospa": %.17g,
+      "ospa": %.17g,
+      "optimal_perm": [
+        {perm}
+      ]
+    }}"""
+
+
+def template_report_json(report):
+    """``report.to_json()`` as a per-step %-template fills it."""
+    step = _TEMPLATE_STEP.format(perm=",\n        ".join(["%d"] * report.perms.shape[1]))
+    columns = zip(
+        report.k.tolist(), report.lospa.tolist(), report.ospa.tolist(), *report.perms.T.tolist()
+    )
+    echo = report.params_echo
+    return _TEMPLATE_REPORT.format(
+        p=float(echo.p), alpha=float(echo.alpha), metric=echo.base_metric.describe(),
+        backend=report.backend.value, steps=",\n".join(map(step.__mod__, columns)),
+        mean_lospa=report.mean_lospa, max_lospa=report.max_lospa, mean_ospa=report.mean_ospa,
+    )

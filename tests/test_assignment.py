@@ -9,11 +9,12 @@ import threading
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from scipy.optimize import linear_sum_assignment
 
 from lospa import assignment
 from lospa import (
+    BaseMetric,
     CapExceeded,
     CostMatrix,
     DimensionMismatch,
@@ -331,6 +332,90 @@ class TestCertificate:
             solve_stack(np.zeros((2, 3)), SolverBackend.OPTIMAL)
         with pytest.raises(InvalidCost):
             solve_stack(np.zeros((1, 2, 3)), SolverBackend.OPTIMAL)
+
+
+@st.composite
+def two_half_stacks(draw):
+    """``(C, n, penalty)``: a two-half stack of n steps from ``cost_stack``.
+
+    Each step is near the identity, near it with one pair of estimates
+    swapped, on an integer grid (full of ties), or random.  alpha**p
+    underflows to 0 at alpha = 1e-200 and p = 2.
+    """
+    t = draw(st.integers(1, 8))
+    kind = st.sampled_from(["near", "swapped", "grid", "random"])
+    kinds = draw(st.lists(kind, min_size=1, max_size=6))
+    params = LospaParams(
+        p=draw(st.sampled_from([1.0, 2.0])),
+        alpha=draw(st.sampled_from([1e-200, 0.5, 1.0])),
+        base_metric=BaseMetric.pnorm(draw(st.sampled_from([1.0, 2.0, 3.0]))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(kinds)
+    truth = rng.uniform(0.0, 10.0, size=(n, t, 2))
+    est = truth + rng.normal(0.0, 0.01, size=truth.shape)
+    for i, kind in enumerate(kinds):
+        if kind == "swapped" and t > 1:
+            a, b = rng.choice(t, size=2, replace=False)
+            est[i, [a, b]] = est[i, [b, a]]
+        elif kind == "grid":
+            truth[i], est[i] = rng.integers(0, 3, size=(2, t, 2))
+        elif kind == "random":
+            est[i] = rng.uniform(0.0, 10.0, size=(t, 2))
+    return cost_stack(est, truth, params, np.empty((2 * n, t, t))), n, params.alpha**params.p
+
+
+class TestLocalizationIdentity:
+    """A step whose localization half is certified with the identity gets the
+    identity as its labelled pairing, as reading the labelled half would give."""
+
+    @settings(
+        deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(two_half_stacks())
+    # Row 0 ties, so the identity argmins of the localization half are not
+    # certified; alpha**p, 0 or absorbed by the sums, leaves the tie in the
+    # labelled half, which must then go to LSAP too.
+    @example((np.array([[[1.0, 1.0], [4.0, 0.0]]] * 2), 1, 0.0))
+    @example((np.array([[[1.0, 1.0], [4.0, 0.0]]] * 2), 1, 1e-200))
+    def test_matches_reading_both_halves(self, lsap_calls, stack):
+        C, n, penalty = stack
+        job, certified = assignment._settle_job(C, n, penalty, SolverBackend.OPTIMAL)
+        start = len(lsap_calls)
+        perms, totals = job()
+        calls = len(lsap_calls) - start
+        # Both halves' argmins and certificate read in full, then the same settle.
+        full_perms = C.argmin(axis=2)
+        full_certified = assignment._certified(C, full_perms)
+        start = len(lsap_calls)
+        full_perms, full_totals = assignment._settle(C, full_perms, full_certified, n, penalty)
+        assert certified.tolist() == full_certified.tolist()
+        assert perms.tolist() == full_perms.tolist()
+        assert totals.view(np.int64).tolist() == full_totals.view(np.int64).tolist()
+        assert calls == len(lsap_calls) - start
+
+    @pytest.mark.parametrize(
+        "identity_steps, reads",
+        [(3, [(3, True)]), (1, [(3, True), (2, False)]), (0, [(3, True), (3, True)])],
+        ids=["all_identity", "mixed", "no_identity"],
+    )
+    def test_labelled_half_is_read_only_where_needed(self, monkeypatch, identity_steps, reads):
+        # Steps [:identity_steps] are near the identity, the others random.
+        rng = np.random.default_rng(19)
+        truth = 10.0 * np.arange(4)[None, :, None] + rng.uniform(0.0, 1.0, size=(3, 4, 2))
+        est = truth + rng.uniform(-0.1, 0.1, size=truth.shape)
+        est[identity_steps:] = rng.uniform(0.0, 40.0, size=est[identity_steps:].shape)
+        C = cost_stack(est, truth, LospaParams(), np.empty((6, 4, 4)))
+        real, seen = assignment._certified, []
+
+        def counted(M, perms):
+            seen.append((len(M), np.shares_memory(M, C)))  # a slice of C, or a gathered copy
+            return real(M, perms)
+
+        monkeypatch.setattr(assignment, "_certified", counted)
+        certified = assignment._settle_job(C, 3, 1.0, SolverBackend.OPTIMAL)[1]
+        assert seen == reads
+        assert certified[:identity_steps].all() and certified[3 : 3 + identity_steps].all()
 
 
 def no_pool(*args, **kwargs):

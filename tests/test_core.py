@@ -291,31 +291,48 @@ OPTIMAL, BRUTE = SolverBackend.OPTIMAL, SolverBackend.BRUTE_FORCE
 
 
 @pytest.mark.parametrize(
-    "make, error, dtype",
+    "make, error, message",
     [
-        (lambda: MultiTargetState([["1"], ["2"]]), ValueError, "<U1"),
-        (lambda: MultiTargetState([[True], [False]]), ValueError, "bool"),
-        (lambda: MultiTargetState(np.array([[1 + 5j], [2]])), ValueError, "complex128"),
-        (lambda: MultiTargetState([[b"1"]]), ValueError, "|S1"),
-        (lambda: MultiTargetState([[2**70], [1j]]), ValueError, "object"),
-        (lambda: LabelledTarget(np.array([1j]), 1), ValueError, "complex128"),
-        (lambda: Trajectory([0], np.array([[[1 + 1j]]])), ValueError, "complex128"),
-        (lambda: Trajectory([0], [[[1j]]]), ValueError, "complex128"),
-        (lambda: Trajectory([0], [[[True]]]), ValueError, "bool"),
-        (lambda: CostMatrix([["1", "2"], ["3", "4"]]), InvalidCost, "<U1"),
-        (lambda: CostMatrix(np.eye(2, dtype=bool)), InvalidCost, "bool"),
-        (lambda: solve_stack([[["1", "2"], ["3", "0"]]], OPTIMAL), InvalidCost, "<U1"),
-        (lambda: solve_stack(np.ones((1, 2, 2)) * 1j, BRUTE), InvalidCost, "complex128"),
+        (lambda: MultiTargetState([["1"], ["2"]]), ValueError, "got <U1 values"),
+        (lambda: MultiTargetState([[True], [False]]), ValueError, "got bool values"),
+        (lambda: MultiTargetState(np.array([[1 + 5j], [2]])), ValueError, "got complex128 values"),
+        (lambda: MultiTargetState([[b"1"]]), ValueError, "got |S1 values"),
+        (lambda: MultiTargetState([[2**70], [1j]]), ValueError, "got object values"),
+        (lambda: LabelledTarget(np.array([1j]), 1), ValueError, "got complex128 values"),
+        (lambda: Trajectory([0], np.array([[[1 + 1j]]])), ValueError, "got complex128 values"),
+        (lambda: Trajectory([0], [[[1j]]]), ValueError, "got complex128 values"),
+        (lambda: Trajectory([0], [[[True]]]), ValueError, "got bool values"),
+        (lambda: CostMatrix([["1", "2"], ["3", "4"]]), InvalidCost, "got <U1 values"),
+        (lambda: CostMatrix(np.eye(2, dtype=bool)), InvalidCost, "got bool values"),
+        (lambda: solve_stack([[["1", "2"], ["3", "0"]]], OPTIMAL), InvalidCost, "got <U1 values"),
+        (lambda: solve_stack(np.ones((1, 2, 2)) * 1j, BRUTE), InvalidCost, "got complex128 values"),
+        # An int beyond int64 makes an object array; its other entries must be real too.
+        (lambda: MultiTargetState([[2**70], ["3"]]), ValueError, "got object values"),
+        (lambda: MultiTargetState([[2**70], [b"3"]]), ValueError, "got object values"),
+        (lambda: MultiTargetState([[2**70], [True]]), ValueError, "got object values"),
+        (lambda: MultiTargetState([[2**70], [None]]), ValueError, "got object values"),
+        # An int beyond the float64 range cannot be read as a float.
+        (lambda: MultiTargetState([[10**400], [1]]), ValueError, "overflows the float64 range"),
+        (lambda: Trajectory([0], [[[10**400]]]), ValueError, "overflows the float64 range"),
+        (lambda: CostMatrix([[10**400, 1], [1, 0]]), InvalidCost, "overflows the float64 range"),
+        (
+            lambda: solve_stack([[[10**400, 1], [1, 0]]], OPTIMAL),
+            InvalidCost,
+            "overflows the float64 range",
+        ),
     ],
     ids=[
         "state_str", "state_bool", "state_complex", "state_bytes", "state_object_complex",
         "labelled_target_complex", "trajectory_complex", "trajectory_complex_list",
         "trajectory_bool", "cost_matrix_str", "cost_matrix_bool", "stack_str", "stack_complex",
+        "state_object_str", "state_object_bytes", "state_object_bool", "state_object_none",
+        "state_overflow", "trajectory_overflow", "cost_matrix_overflow", "stack_overflow",
     ],
 )
-def test_non_real_arrays_are_refused_not_cast(make, error, dtype):
-    # Casting would read "1" as 1.0 and True as 1.0, or drop an imaginary part.
+def test_non_real_arrays_are_refused_not_cast(make, error, message):
+    # Casting would read "1" as 1.0 and True as 1.0, or drop an imaginary part;
+    # an int too large for a float would escape as a bare OverflowError.
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a ComplexWarning would be a cast
-        with pytest.raises(error, match=f"got {re.escape(dtype)} values$"):
+        with pytest.raises(error, match=f"{re.escape(message)}$"):
             make()

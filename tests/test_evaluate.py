@@ -31,13 +31,13 @@ from lospa import (
     run_demo,
 )
 from lospa.core import cost_stack
-from lospa.metric import _distance
+from lospa.metric import _distances
 from lospa.cli import main
 from lospa.constants import REL_TOL_BACKENDS, REL_TOL_EXACT
 
 from helpers import (
     ESTIMATE_POINTS, TRUTH_POINTS, csv_text, enum_lospa, expected_table_value, mts, qnorm_dist,
-    set_cpus, source_tree_env,
+    set_cpus, source_tree_env, template_report_json,
 )
 
 # The package re-exports the function under the module's name.
@@ -544,7 +544,7 @@ def assert_matches_two_solve(truth, est, params):
     for C, psi, ospa in zip(loc[drift], report.perms[drift], report.ospa[drift].tolist()):
         phi = linear_sum_assignment(C)[1]
         assert (psi != phi).any()
-        assert ospa == _distance(path_cost(C, psi), t, params.p)
+        assert [ospa] == _distances([path_cost(C, psi)], t, params.p)
         exact = [sum(map(Fraction, C[np.arange(t), perm].tolist())) for perm in (psi, phi)]
         assert exact[0] <= exact[1] * (1 + Fraction(1 + 2**16, 2**52))
     return report
@@ -787,7 +787,51 @@ class TestScheduledSteps:
         assert proc.stdout == f"{pooled}\n"
 
 
+# Report floats whose texts are easy to get wrong: subnormals, the top of
+# the range, both zeros (equal, but printed apart), NaN, and any other.
+REPORT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300, 1.7976931348623157e308, math.nan, 0.1]),
+    st.floats(),
+)
+
+
+@st.composite
+def random_reports(draw):
+    """EvalReports of 1-6 steps and 1-5 targets with identity and other pairings,
+    and ospa equal to lospa, its negation (-0.0 for 0.0) or another float."""
+    T, t = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    lospa = draw(st.lists(REPORT_FLOATS, min_size=T, max_size=T))
+    ospa = [draw(st.one_of(st.just(x), st.just(-x), REPORT_FLOATS)) for x in lospa]
+    pairing = st.one_of(st.just(list(range(t))), st.permutations(range(t)))
+    ks = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=T, max_size=T, unique=True)
+    metrics = [BaseMetric(), BaseMetric.pnorm(1.0), BaseMetric.pnorm(3.5)]
+    return EvalReport(
+        k=sorted(draw(ks)),
+        lospa=lospa,
+        ospa=ospa,
+        perms=draw(st.lists(pairing, min_size=T, max_size=T)),
+        params_echo=LospaParams(
+            p=draw(st.floats(1.0, 10.0)),
+            alpha=draw(st.floats(0.0, 10.0)),
+            base_metric=draw(st.sampled_from(metrics)),
+        ),
+        backend=draw(st.sampled_from(list(SolverBackend))),
+    )
+
+
 class TestReportJson:
+    @settings(deadline=None, max_examples=300)
+    @given(random_reports())
+    # 0.0 and -0.0 are equal floats with different bits and texts.
+    @example(EvalReport([0], [0.0], [-0.0], [[0]], LospaParams(), SolverBackend.OPTIMAL))
+    @example(
+        EvalReport(
+            [0, 1], [-0.0, 0.0], [0.0, 0.0], [[1, 0], [0, 1]], LospaParams(), SolverBackend.BRUTE_FORCE
+        )
+    )
+    def test_matches_the_per_step_template(self, report):
+        assert report.to_json() == template_report_json(report)
+
     def make_report(self):
         est = trajectory(range(3), ESTIMATE_POINTS)
         return evaluate(TRUTH_TRAJ, est, LospaParams(p=2.0, alpha=1.0))
