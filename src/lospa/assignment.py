@@ -12,7 +12,7 @@ Two interchangeable backends solve ``min over perm of sum_j C[j, perm[j]]``:
   and solves it in O(t^3) time, unless a row-minimum certificate already
   proves the optimum (see :func:`solve_stack`).
 
-:func:`_settle_job` settles every stack, for :func:`solve_stack`, every
+:func:`_settle` settles every stack, for :func:`solve_stack`, every
 single-matrix function here, ``lospa()`` and ``evaluate``.  All are pure
 functions; concurrent calls need no synchronization.
 """
@@ -262,69 +262,29 @@ def _certified(C: np.ndarray, perms: np.ndarray) -> np.ndarray:
 _GUARD_BITS = 16
 
 
-def _settle_job(
-    C: np.ndarray, n: int, penalty: float, backend: SolverBackend
-) -> tuple[functools.partial, np.ndarray]:
-    """Read what can be read at once of a trusted ``(halves * n, t, t)`` stack.
+def _settle(
+    C: np.ndarray, n: int, penalty: float, backend: SolverBackend, proof: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairings and totals ``(perms, totals)`` of every matrix of a trusted stack.
 
-    With two halves, rows [:n] are localization costs and rows [n:] the
-    same plus ``penalty``, alpha**p, off the diagonal; with one, the n
-    matrices are both.  The optimal backend's row argmins and certificate
-    are read here, on the calling thread; the brute-force backend has no
-    certificate, and its job enumerates.  Returns ``(job, certified)``:
-    ``job()`` settles the rest and gives ``(perms, totals)`` for every
-    matrix, and ``certified[i]`` says that matrix i needs no LSAP solve.
-
-    With two halves the localization half is read first.  A step it
-    certifies with the identity gets the identity as its certified labelled
-    pairing, unread: off the diagonal a labelled entry is fl(b + alpha**p)
-    >= b, and the diagonal is shared, so a strict identity minimum of the
-    localization matrix is one of the labelled matrix too, and the
-    labelled half's own argmins and certificate would give the same.  Only
-    the other steps' labelled matrices are read; the whole labelled half,
-    without a gather, when no step is such a step.
+    The ``(halves * n, t, t)`` stack holds, with two halves, localization
+    costs in rows [:n] and the same plus ``penalty``, alpha**p, off the
+    diagonal in rows [n:]; with one, the n matrices are both.  The optimal
+    backend keeps the row argmins of each matrix that ``proof``, a
+    writable ``(perms, certified)`` pair, certifies, or else that
+    :func:`_certificate` certifies.  LSAP solves each other labelled
+    matrix, then each other localization one unless its step's labelled
+    pairing serves it (:func:`_reuses_labelled`).  The brute-force backend
+    checks the cap and enumerates.  Raises InvalidCost if a total
+    overflows.
     """
     if backend is SolverBackend.OPTIMAL:
-        if len(C) == n:
-            perms = C.argmin(axis=2)
-            certified = _certified(C, perms)
-        else:
-            perms, certified = _certified_halves(C, n)
+        perms, certified = _certificate(C, n) if proof is None else proof
     elif backend is SolverBackend.BRUTE_FORCE:
         _check_cap(C.shape[1], DEFAULT_BRUTE_CAP)
         perms, certified = None, np.ones(len(C), dtype=bool)
     else:
         raise ValueError(f"unknown solver backend {backend!r}")
-    return functools.partial(_settle, C, perms, certified, n, penalty), certified
-
-
-def _certified_halves(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row argmins and certificate of a two-half stack, as :func:`_settle_job` reads them."""
-    t = C.shape[1]
-    perms = np.empty((2 * n, t), dtype=np.intp)
-    certified = np.ones(2 * n, dtype=bool)
-    perms[:n] = C[:n].argmin(axis=2)
-    certified[:n] = _certified(C[:n], perms[:n])
-    identity = certified[:n] & (perms[:n] == np.arange(t)).all(axis=1)
-    perms[n:][identity] = np.arange(t)
-    rest = n + (~identity).nonzero()[0]
-    if len(rest):
-        labelled = C[n:] if len(rest) == n else C[rest]  # gathered only if steps are skipped
-        perms[rest] = labelled.argmin(axis=2)
-        certified[rest] = _certified(labelled, perms[rest])
-    return perms, certified
-
-
-def _settle(
-    C: np.ndarray, perms: np.ndarray | None, certified: np.ndarray, n: int, penalty: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_settle_job`'s job; raises InvalidCost if a total overflows.
-
-    ``perms`` are the row argmins, kept where ``certified``, or None to
-    enumerate.  LSAP solves each other labelled matrix, then each other
-    localization one unless its step's labelled pairing serves it
-    (:func:`_reuses_labelled`).
-    """
     with np.errstate(over="ignore"):  # sums may overflow; a total that does raises below
         if perms is None:
             perms = _enumerate(C)
@@ -336,6 +296,34 @@ def _settle(
     if not np.isfinite(totals).all():
         raise InvalidCost("the total cost of an optimal pairing overflows the float64 range")
     return perms, totals
+
+
+def _certificate(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row argmins and :func:`_certified` of a trusted stack laid out as for :func:`_settle`.
+
+    The localization half is read first.  With two halves, a step it
+    certifies with the identity gets the identity as its certified labelled
+    pairing, unread: off the diagonal a labelled entry is fl(b + alpha**p)
+    >= b, and the diagonal is shared, so a strict identity minimum of the
+    localization matrix is one of the labelled matrix too, and the
+    labelled half's own argmins and certificate would give the same.  Only
+    the other steps' labelled matrices are read; the whole labelled half,
+    without a gather, when no step is such a step.
+    """
+    t = C.shape[1]
+    perms = np.empty((len(C), t), dtype=np.intp)
+    certified = np.ones(len(C), dtype=bool)
+    C[:n].argmin(axis=2, out=perms[:n])
+    certified[:n] = _certified(C[:n], perms[:n])
+    if len(C) > n:
+        identity = certified[:n] & (perms[:n] == np.arange(t)).all(axis=1)
+        perms[n:][identity] = np.arange(t)
+        rest = n + (~identity).nonzero()[0]
+        if len(rest):
+            labelled = C[n:] if len(rest) == n else C[rest]  # gathered only if steps are skipped
+            perms[rest] = labelled.argmin(axis=2)
+            certified[rest] = _certified(labelled, perms[rest])
+    return perms, certified
 
 
 def _reuses_labelled(loc: np.ndarray, psi: np.ndarray, penalty: float) -> bool:
@@ -377,9 +365,10 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
 
     The brute-force backend extends prefixes one row at a time, for all
     matrices at once, summing each left to right exactly as
-    :func:`path_cost` does.  Costs are nonnegative and float64 addition is
-    monotone (``a <= a'`` and ``b <= b'`` give ``a + b <= a' + b'``), so
-    two rules drop only prefixes that cannot reach the answer:
+    :func:`path_cost` does.  Float64 addition is monotone (``a <= a'`` and
+    ``b <= b'`` give ``a + b <= a' + b'``) whatever the signs, so two rules
+    drop only prefixes that cannot reach the answer, negative costs
+    included:
 
     * lower bound: the partial sum plus the remaining rows' minima, added
       left to right, exceeds the total of a known pairing of the same
@@ -393,7 +382,7 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
 
     The stack is read as float64 once, here, which copies any other real
     dtype but never a float64 stack, and checked for NaN and infinity.  It is
-    then :func:`_settle_job`'s one-half case, which the other solvers,
+    then :func:`_settle`'s one-half case, which the other solvers,
     ``lospa()`` and ``evaluate`` reach with stacks checked already.
 
     Returns:
@@ -414,12 +403,12 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         raise InvalidCost(f"expected an (n, t, t) stack of cost matrices, got shape {C.shape}")
     if not np.isfinite(C).all():
         raise InvalidCost("cost stack contains NaN or infinity")
-    return _settle_job(C, len(C), 0.0, backend)[0]()
+    return _settle(C, len(C), 0.0, backend)
 
 
 def _solve_one(C: CostMatrix | np.ndarray, backend: SolverBackend) -> AssignmentSolution:
     """Solve one cost matrix with the selected backend, as a stack of one."""
-    perms, totals = _settle_job(_cost_matrix(C).entries[None], 1, 0.0, backend)[0]()
+    perms, totals = _settle(_cost_matrix(C).entries[None], 1, 0.0, backend)
     return AssignmentSolution(_as_readonly(perms[0], np.int64), float(totals[0]))
 
 

@@ -273,7 +273,8 @@ def _minkowski_costs(
     components; ``scratch`` has ``out``'s shape.  The components' ``|d|`` or
     ``d**2`` are added left to right, the first written straight into
     ``out``, then come one square root at q = 2 and the power p: cdist's
-    bits, and the same bits for an entry wherever it is computed.
+    bits, and the same bits for an entry wherever it is computed, without
+    importing ``scipy.spatial``, which costs more than most runs' builds.
     """
     term = np.square if q == 2.0 else np.abs
     term(np.subtract(a[..., 0], b[..., 0], out=out), out=out)

@@ -12,6 +12,7 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import SolverBackend, _lsap_module, _settle_job, _sum_in_order
+from .assignment import SolverBackend, _lsap_module, _settle, _sum_in_order
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import LospaParams, _minkowski_costs, _require_same_shape, cost_stack
 from .errors import TimestepMismatch
@@ -109,7 +110,7 @@ class EvalReport:
 
     @property
     def mean_lospa(self) -> float:
-        return _mean(self.lospa)
+        return _mean(self.lospa.tolist())
 
     @property
     def max_lospa(self) -> float:
@@ -117,7 +118,7 @@ class EvalReport:
 
     @property
     def mean_ospa(self) -> float:
-        return _mean(self.ospa)
+        return _mean(self.ospa.tolist())
 
     def to_json(self) -> str:
         """Byte-deterministic JSON text (trailing newline included).
@@ -125,15 +126,17 @@ class EvalReport:
         Every step fills one %-template, with its distances printed as
         ``format(x, ".17g")``.  Each text is made once: a step's ``ospa``
         takes its ``lospa`` text when the two floats have the same bits,
-        and every identity pairing takes one text made for the report.
+        and every identity pairing takes one text made for the report.  The
+        aggregates are those of the properties, read from the same values.
         """
         T, t = self.perms.shape
         separator = ",\n        "  # between a pairing's entries
-        lospa = [format(x, _FLOAT_SPEC) for x in self.lospa.tolist()]
-        ospa = lospa.copy()
+        lospa_values = self.lospa.tolist()
+        lospa = [format(x, _FLOAT_SPEC) for x in lospa_values]
+        ospa, ospa_values = lospa.copy(), lospa_values.copy()
         differ = (self.lospa.view(np.int64) != self.ospa.view(np.int64)).nonzero()[0]
         for i, x in zip(differ.tolist(), self.ospa[differ].tolist()):
-            ospa[i] = format(x, _FLOAT_SPEC)
+            ospa[i], ospa_values[i] = format(x, _FLOAT_SPEC), x
         perms = [separator.join(map(str, range(t)))] * T
         moved = (self.perms != np.arange(t)).any(axis=1).nonzero()[0]
         for i, row in zip(moved.tolist(), self.perms[moved].tolist()):
@@ -143,18 +146,18 @@ class EvalReport:
             p=float(echo.p), alpha=float(echo.alpha), metric=echo.base_metric.describe(),
             backend=self.backend.value,
             steps=",\n".join(map(_STEP.__mod__, zip(self.k.tolist(), lospa, ospa, perms))),
-            mean_lospa=self.mean_lospa, max_lospa=self.max_lospa, mean_ospa=self.mean_ospa,
+            mean_lospa=_mean(lospa_values), max_lospa=max(lospa_values),
+            mean_ospa=_mean(ospa_values),
             f=_FLOAT_SPEC,
         )
 
 
-def _mean(column: np.ndarray) -> float:
+def _mean(values: list[float]) -> float:
     """Python's left-to-right mean: np.mean sums pairwise, which can move the last bit.
 
     Finite values whose sum passes the float range are divided before they
     are summed, so the mean stays finite (and the report valid JSON).
     """
-    values = column.tolist()
     total = sum(values)
     if math.isinf(total):
         return sum(v / len(values) for v in values)
@@ -228,16 +231,16 @@ def _solve_steps(
     or any other pairing of strict row minima, gets its labelled pairing and
     both totals from it and is neither built nor solved.  Every other chunk
     is built on the main thread, into a buffer of its own that holds both
-    halves at alpha > 0, and ``assignment._settle_job`` reads its
-    certificate.  The job that settles the rest is large when its chunk
-    holds one step and the certificate leaves LSAP a matrix; a step the
-    certificate settles separates two that need LSAP.  A job runs inline
-    when its result is stored, unless its chunk and the one built before it
-    are both large.  Then, if the process may run on two or more CPUs, one
-    pool of up to ``_WORKERS`` threads starts for the rest of the run, and
-    that job and every later large one go to it; scipy releases the GIL
-    while it solves.  A lone large chunk, multi-step chunks and a one-CPU
-    process never import ``concurrent.futures``.
+    halves at alpha > 0, and its job is ``assignment._settle``, given the
+    sweep's proof where there is one: a half the sweep certified is not
+    read again.  A built one-step chunk is large, and its job reads the
+    certificate, if it needs one, wherever it runs.  A job runs inline when
+    its result is stored, unless its chunk and the one built before it are
+    both large.  Then, if the process may run on two or more CPUs, one pool
+    of up to ``_WORKERS`` threads starts for the rest of the run, and that
+    job and every later large one go to it; scipy releases the GIL while it
+    solves.  A lone built step, multi-step chunks and a one-CPU process
+    never import ``concurrent.futures``.
 
     Results are stored in step order, the oldest first, while more than
     ``_WORKERS`` jobs are held, or any without a pool: so the main thread
@@ -252,7 +255,8 @@ def _solve_steps(
     size = max(1, _CHUNK_ENTRIES // (halves * t * t))
     perms = np.empty((T, t), dtype=np.intp)
     totals = np.empty((2, T))  # unlabelled, labelled
-    sweep = backend is SolverBackend.OPTIMAL and size == 1 and params.base_metric.q in (1.0, 2.0)
+    large = size == 1
+    sweep = backend is SolverBackend.OPTIMAL and large and params.base_metric.q in (1.0, 2.0)
     pool, last_large, held = None, False, deque()  # held: (steps, result) in step order
 
     def store(steps, result):
@@ -263,14 +267,14 @@ def _solve_steps(
     try:
         for lo in range(0, T, size):
             swept = _sweep(est[lo], truth[lo], params) if sweep else None
-            if swept is not None:
-                perms[lo], totals[:, lo] = swept
+            if swept is not None and swept[1].all():
+                perms[lo], totals[:, lo] = swept[0][-1], swept[2]
                 continue
             steps = slice(lo, min(lo + size, T))
             n = steps.stop - lo
             C = cost_stack(est[steps], truth[steps], params, np.empty((halves * n, t, t)))
-            job, certified = _settle_job(C, n, params.alpha**params.p, backend)
-            large = size == 1 and not certified.all()
+            proof = swept and swept[:2]  # None, or what the sweep proved of each half
+            job = functools.partial(_settle, C, n, params.alpha**params.p, backend, proof)
             if pool is None and large and last_large and (cpus := _cpus()) >= 2:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -291,16 +295,18 @@ def _solve_steps(
 
 def _sweep(
     x: np.ndarray, y: np.ndarray, params: LospaParams
-) -> tuple[np.ndarray, tuple[float, float]] | None:
-    """The pairing and totals the row-minimum certificate would give, else None.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The row-minimum certificate of each half of one step, read without building it.
 
     ``x`` and ``y`` are one step's (t, n_x) estimate and truth; q is 1 or 2.
     The certificate keeps a half's row argmins when they form a permutation
     of strict row minima; that pairing is then the half's unique optimum,
     and its total is the row minima summed left to right.  This reads each
-    half's row minima without the t x t costs, and returns
-    ``(psi, (localization total, labelled total))`` when both halves are
-    certified, psi being the labelled pairing:
+    half's row minima without the t x t costs, and returns ``(perms,
+    certified, totals)``, one row per half, the localization half first.
+    ``certified`` is what ``assignment._certificate`` would read from the
+    built step; a half with a tie or colliding argmins is not certified,
+    and only a certified half's pairing and total are meaningful:
 
     * A truth can undercut the diagonal cost of estimate i only if its first
       coordinate lies within ``reach[i]`` of x[i]'s (the diagonal distance
@@ -322,7 +328,7 @@ def _sweep(
       ``InvalidCost`` if a cost does overflow.
 
     It also gives up once the bands hold more than ``_SWEEP_PAIRS * t``
-    pairs, and on a tie or a collision of row argmins in either half.
+    pairs.
     """
     t = len(x)
     q, p = params.base_metric.q, params.p
@@ -364,16 +370,18 @@ def _sweep(
     band[off] = costs(x[rows[off]], y[cols[off]])
     labelled = band.copy()
     labelled[off] += penalty
-    totals = []
-    for half in (band, labelled) if params.alpha > 0.0 else (band,):
+    halves = (band, labelled) if params.alpha > 0.0 else (band,)
+    perms, certified, totals = np.zeros((len(halves), t), np.intp), [], []
+    for half, psi in zip(halves, perms):
         mins = np.minimum.reduceat(half, heads)
-        # Every row attains its minimum, so psi holds t columns or more:
-        # no column twice means one per row, no tie, and a permutation.
-        psi = cols[half == mins[rows]]
-        if np.bincount(psi, minlength=t).max() > 1:
-            return None
-        totals.append(float(_sum_in_order(mins)))
-    return psi, (totals[0], totals[-1])
+        # Every row attains its minimum, so the argmins hold t columns or
+        # more: no column twice means one per row, no tie, and a permutation.
+        argmins = cols[half == mins[rows]]
+        certified.append(np.bincount(argmins, minlength=t).max() == 1)
+        if certified[-1]:
+            psi[:] = argmins
+        totals.append(_sum_in_order(mins))
+    return perms, np.array(certified), np.array(totals)
 
 
 # --- built-in demo ---------------------------------------------------------

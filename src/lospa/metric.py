@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assignment import SolverBackend, _settle_job
+from .assignment import SolverBackend, _settle
 from .core import BaseMetric, LospaParams, MultiTargetState, _as_readonly, _pair_costs
 
 __all__ = ["MetricKind", "LospaResult", "lospa", "ospa_no_cutoff"]
@@ -77,7 +77,7 @@ def lospa(
         CapExceeded: brute-force backend with too many targets.
         InvalidCost: if a cost or the minimum total overflows the float64 range.
     """
-    perms, totals = _settle_job(_pair_costs(A, B, params)[-1:], 1, 0.0, backend)[0]()
+    perms, totals = _settle(_pair_costs(A, B, params)[-1:], 1, 0.0, backend)
     kind = MetricKind.LOSPA if params.alpha > 0.0 else MetricKind.OSPA
     [distance] = _distances(totals.tolist(), A.num_targets, params.p)
     return LospaResult(distance, _as_readonly(perms[0], np.int64), kind)

@@ -152,11 +152,12 @@ class TestBruteForce:
 @st.composite
 def tie_heavy_stacks(draw):
     """(n, t, t) stacks, t = 1..8, built to tie: entries in {0, 1, 2},
-    equal matrices, repeated rows, and leading or trailing rows raised by
-    1e16, next to which 0 and 1 round to the same total."""
+    equal matrices, repeated rows, leading or trailing rows raised by
+    1e16, next to which 0 and 1 round to the same total, and entries
+    lowered by 1, 3 or 1e16, so of mixed sign or all negative."""
     t = draw(st.integers(1, 8))
     n = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["grid", "equal", "duplicate_rows", "absorbed"]))
+    kind = draw(st.sampled_from(["grid", "equal", "duplicate_rows", "absorbed", "signed"]))
     row = st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=t, max_size=t)
     stack = []
     for _ in range(n):
@@ -169,6 +170,8 @@ def tie_heavy_stacks(draw):
         if kind == "absorbed":
             k = draw(st.integers(0, t - 1))
             C[draw(st.sampled_from([slice(k, None), slice(None, k + 1)]))] += 1e16
+        if kind == "signed":
+            C -= draw(st.sampled_from([1.0, 3.0, 1e16]))
         stack.append(C)
     return np.array(stack)
 
@@ -380,15 +383,16 @@ class TestLocalizationIdentity:
     @example((np.array([[[1.0, 1.0], [4.0, 0.0]]] * 2), 1, 1e-200))
     def test_matches_reading_both_halves(self, lsap_calls, stack):
         C, n, penalty = stack
-        job, certified = assignment._settle_job(C, n, penalty, SolverBackend.OPTIMAL)
+        certified = assignment._certificate(C, n)[1]
         start = len(lsap_calls)
-        perms, totals = job()
+        perms, totals = assignment._settle(C, n, penalty, SolverBackend.OPTIMAL)
         calls = len(lsap_calls) - start
         # Both halves' argmins and certificate read in full, then the same settle.
         full_perms = C.argmin(axis=2)
         full_certified = assignment._certified(C, full_perms)
+        proof = full_perms, full_certified
         start = len(lsap_calls)
-        full_perms, full_totals = assignment._settle(C, full_perms, full_certified, n, penalty)
+        full_perms, full_totals = assignment._settle(C, n, penalty, SolverBackend.OPTIMAL, proof)
         assert certified.tolist() == full_certified.tolist()
         assert perms.tolist() == full_perms.tolist()
         assert totals.view(np.int64).tolist() == full_totals.view(np.int64).tolist()
@@ -413,7 +417,7 @@ class TestLocalizationIdentity:
             return real(M, perms)
 
         monkeypatch.setattr(assignment, "_certified", counted)
-        certified = assignment._settle_job(C, 3, 1.0, SolverBackend.OPTIMAL)[1]
+        certified = assignment._certificate(C, 3)[1]
         assert seen == reads
         assert certified[:identity_steps].all() and certified[3 : 3 + identity_steps].all()
 
@@ -444,7 +448,7 @@ def random_steps(T, t, alpha, seed):
 
 
 class TestThreadedLsap:
-    """evaluate's chunk loop solves large uncertified steps in threads, with serial results.
+    """evaluate's chunk loop solves large built steps in threads, with serial results.
 
     ``solve_stack`` solves its matrices one after another, in the caller's thread.
     """
@@ -514,29 +518,30 @@ class TestThreadedLsap:
 
     @pytest.mark.parametrize(
         "certified, T, pooled",
-        [([], 2, [1]), ([1], 3, []), ([0], 4, [2, 3])],
+        [([], 2, [1]), ([1], 3, [1, 2]), ([0], 4, [1, 2, 3])],
         ids=["consecutive", "certified_between", "late"],
     )
     def test_pool_starts_at_two_consecutive_large_jobs(
         self, monkeypatch, pools, certified, T, pooled
     ):
-        # Every uncertified step is large.  A certified step is built, as its
-        # estimates equal the truths (the sweep gives up on zero costs), so it
-        # separates the steps around it.  The first of two consecutive large
-        # steps has run inline when the second comes, which starts the pool.
+        # Every step is built and large.  A certified step is built too, as
+        # its estimates equal the truths (the sweep gives up on zero costs),
+        # and its job reads the certificate.  The first of two consecutive
+        # large steps has run inline when the second comes, which starts the
+        # pool.
         set_cpus(monkeypatch, 2)
         truth, est, params = one_step_chunks(monkeypatch, T, 20, [], seed=77)
         states = est.states.copy()
         states[certified] = truth.states[certified]
         stack = cost_stack(states, truth.states, params, np.empty((2 * T, 20, 20)))
         steps = [C.tobytes() for C in stack[:T]]  # localization costs, step by step
-        real, main, threads = assignment._settle, threading.get_ident(), {}
+        real, main, threads = evaluate_module._settle, threading.get_ident(), {}
 
         def recorded(C, *args):
             threads[steps.index(C[0].tobytes())] = threading.get_ident()
             return real(C, *args)
 
-        monkeypatch.setattr(assignment, "_settle", recorded)
+        monkeypatch.setattr(evaluate_module, "_settle", recorded)
         evaluate(truth, Trajectory(range(T), states), params)
         assert sorted(threads) == list(range(T))
         assert [step for step, thread in threads.items() if thread != main] == pooled

@@ -359,8 +359,9 @@ class TestSweep:
     def test_colliding_argmins_are_built(self, monkeypatch, lsap_calls, alpha):
         # Truths 0 and 1 lie closer than the noise, and estimates 0 and 1
         # are both nearest truth 0: the localization argmins collide, so
-        # the sweep gives up.  LSAP solves the localization half; at
-        # alpha = 1 the certificate settles the labelled one.
+        # the sweep leaves that half uncertified and the step is built.
+        # LSAP solves the localization half; at alpha = 1 the sweep's proof
+        # settles the labelled one, and no half is read again.
         truth, near, _ = near_and_random(np.random.default_rng(66), 2, 400)
         truth, near = truth[1:], near[1:]  # step 1 swaps no pair
         truth[0, :2] = [[0.0, 0.0], [0.1, 0.0]]
@@ -370,8 +371,10 @@ class TestSweep:
         lsap_calls.clear()
         builds = counted_builds(monkeypatch)
         results = sweep_results(monkeypatch)
+        monkeypatch.setattr(assignment, "_certified", lambda *_: pytest.fail("certificate read"))
         assert evaluate(*args).to_json() == expected
-        assert results == [None]
+        [(_, certified, _)] = results
+        assert certified.tolist() == ([False, True] if alpha else [False])
         assert builds == [1]
         assert len(lsap_calls) == 1
 
@@ -409,17 +412,16 @@ class TestSweep:
         params = LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q))
         swept = evaluate_module._sweep(est, truth, params)
         if swaps == 1 and not cycle and not duplicate and noise == 1e-3:
-            assert swept is not None
+            assert swept is not None and swept[1].all()
         if swept is not None:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(evaluate_module, "_sweep", lambda *_: None)
-                perms, lospa_totals, ospa_totals = evaluate_module._solve_steps(
-                    est[None], truth[None], params, SolverBackend.OPTIMAL
-                )
-            psi, totals = swept
-            assert psi.tolist() == perms[0].tolist()
-            built = [ospa_totals[0], lospa_totals[0]]
-            assert np.array(totals).view(np.int64).tolist() == np.array(built).view(np.int64).tolist()
+            # Each half's proof against the built step's certificate and settle.
+            C = cost_stack(est[None], truth[None], params, np.empty((1 + (alpha > 0), t, t)))
+            perms, totals = assignment._settle(C, 1, alpha**p, SolverBackend.OPTIMAL)
+            psi, certified, swept_totals = swept
+            assert certified.tolist() == assignment._certificate(C, 1)[1].tolist()
+            for half in certified.nonzero()[0]:
+                assert psi[half].tolist() == perms[half].tolist()
+                assert swept_totals[half].view(np.int64) == totals[half].view(np.int64)
 
     def test_exact_estimates_fall_back(self, monkeypatch):
         # Zero diagonal costs: the identity is still the strict optimum.
@@ -756,16 +758,21 @@ class TestScheduledSteps:
         assert pools == [2, 2]
         assert not any(th.name.startswith("ThreadPoolExecutor") for th in threading.enumerate())
 
-    # The steps in ``random_steps`` of a near-correct input are random.  In
-    # the last case, step 2 is built and certified between them.
+    # The steps in ``random_steps`` of a near-correct input are random, and
+    # the sweep certifies every other step unless step 2 is ``exact``: the
+    # sweep gives up on its zero costs, so it is built, and its job, large
+    # like every built one-step chunk, reads the certificate.  So in the
+    # last case step 2 is the second large job, and the pool starts.
     @pytest.mark.parametrize(
-        "random_steps, pooled", [([0], False), ([0, 1], True), ([1, 3], False)]
+        "random_steps, pooled, exact",
+        [([0], False, False), ([0, 1], True, False), ([], False, True), ([0], True, True)],
     )
-    def test_one_uncertified_step_imports_no_pool(self, tmp_path, random_steps, pooled):
+    def test_one_uncertified_step_imports_no_pool(self, tmp_path, random_steps, pooled, exact):
         t, T = 400, 4
         truth, near, random = near_and_random(np.random.default_rng(85), T, t)
-        near[1::2] = truth[1::2] + 0.01  # every step certified ...
-        near[2] = truth[2]  # ... step 2 by the certificate, not the sweep
+        near[1::2] = truth[1::2] + 0.01
+        if exact:
+            near[2] = truth[2]
         near[random_steps] = random[random_steps]
         paths = tmp_path / "truth.csv", tmp_path / "est.csv"
         for path, states in zip(paths, (truth, near)):
