@@ -333,7 +333,8 @@ def _reuses_labelled(loc: np.ndarray, psi: np.ndarray, penalty: float) -> bool:
     localization optimum.  With L the localization total and Lab the
     labelled one, Lab(sigma) = L(sigma) + a (t - fix sigma) for every
     pairing sigma, where a = alpha**p and fix counts fixed points; so
-    L(psi) + t a = Lab(psi) <= Lab(sigma) <= L(sigma) + t a.
+    L(psi) + t a = Lab(psi) <= Lab(sigma) <= L(sigma) + t a (Burkard,
+    Dell'Amico and Martello, Assignment Problems, SIAM 2009).
 
     The labelled entries are rounded, fl(b + a), which can hide
     differences in b below about u a, u = 2**-53.  So ``psi`` is taken only

@@ -233,14 +233,13 @@ def _solve_steps(
     is built on the main thread, into a buffer of its own that holds both
     halves at alpha > 0, and its job is ``assignment._settle``, given the
     sweep's proof where there is one: a half the sweep certified is not
-    read again.  A built one-step chunk is large, and its job reads the
-    certificate, if it needs one, wherever it runs.  A job runs inline when
-    its result is stored, unless its chunk and the one built before it are
-    both large.  Then, if the process may run on two or more CPUs, one pool
-    of up to ``_WORKERS`` threads starts for the rest of the run, and that
-    job and every later large one go to it; scipy releases the GIL while it
-    solves.  A lone built step, multi-step chunks and a one-CPU process
-    never import ``concurrent.futures``.
+    read again, and a job reads the certificate, if it needs one, wherever
+    it runs.  A job runs inline when its result is stored, up to the second
+    built chunk of one step.  There, if the process may run on two or more
+    CPUs, one pool of up to ``_WORKERS`` threads starts for the rest of the
+    run, and that job and every later one go to it; scipy releases the GIL
+    while it solves.  A lone built step, multi-step chunks and a one-CPU
+    process never import ``concurrent.futures``.
 
     Results are stored in step order, the oldest first, while more than
     ``_WORKERS`` jobs are held, or any without a pool: so the main thread
@@ -255,9 +254,8 @@ def _solve_steps(
     size = max(1, _CHUNK_ENTRIES // (halves * t * t))
     perms = np.empty((T, t), dtype=np.intp)
     totals = np.empty((2, T))  # unlabelled, labelled
-    large = size == 1
-    sweep = backend is SolverBackend.OPTIMAL and large and params.base_metric.q in (1.0, 2.0)
-    pool, last_large, held = None, False, deque()  # held: (steps, result) in step order
+    sweep = backend is SolverBackend.OPTIMAL and size == 1 and params.base_metric.q in (1.0, 2.0)
+    pool, built, held = None, False, deque()  # held: (steps, result) in step order
 
     def store(steps, result):
         chunk_perms, chunk_totals = result()
@@ -275,13 +273,13 @@ def _solve_steps(
             C = cost_stack(est[steps], truth[steps], params, np.empty((halves * n, t, t)))
             proof = swept and swept[:2]  # None, or what the sweep proved of each half
             job = functools.partial(_settle, C, n, params.alpha**params.p, backend, proof)
-            if pool is None and large and last_large and (cpus := _cpus()) >= 2:
+            if pool is None and size == 1 and built and (cpus := _cpus()) >= 2:
                 from concurrent.futures import ThreadPoolExecutor
 
                 _lsap_module()  # loaded here, not by two workers at once
                 pool = ThreadPoolExecutor(min(_WORKERS, cpus))
-            last_large = large
-            held.append((steps, pool.submit(job).result if pool is not None and large else job))
+            built = True
+            held.append((steps, pool.submit(job).result if pool is not None else job))
             del C, job  # else they would keep a stored chunk's buffer through the next build
             while len(held) > (0 if pool is None else _WORKERS):
                 store(*held.popleft())

@@ -445,7 +445,7 @@ class TestSweep:
         args = (Trajectory([0], [truth]), Trajectory([0], [est]), LospaParams(alpha=0.5))
         results = sweep_results(monkeypatch)
         assert evaluate(*args).to_json() == dense(*args).to_json()
-        assert results[0] is not None
+        assert results[0] is not None and results[0][1].all()
 
     # Each estimate is ``noise`` off its truth in the second component: at
     # p = 50 every diagonal cost underflows to 0, at p = 7 to a subnormal.

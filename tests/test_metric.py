@@ -183,6 +183,7 @@ def test_lospa_gives_evaluates_rows_at_t_300(monkeypatch, lsap_calls):
     monkeypatch.setattr(evaluate_module, "_sweep", recorded)
     assert_rows_match_lospa(truth, est, LospaParams(alpha=0.6), SolverBackend.OPTIMAL)
     assert [total is not None for total in swept] == [True, False, False]
+    assert swept[0][1].all()
     # evaluate solves both halves of the random step, whose labelled pairing
     # keeps a target; lospa() solves its labelled matrix.
     assert len(lsap_calls) == 3
