@@ -12,10 +12,8 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +72,8 @@ _CHUNK_ENTRIES = 1 << 18
 # its own truth, so one swapped pair can span most truths between them.
 _SWEEP_PAIRS = 4
 
-# Most threads in evaluate's LSAP pool.  A one-step chunk holds its own
-# (2, t, t) buffer while its job runs, so a run keeps at most one buffer more
-# than this: one being built while each worker holds one.
+# Most threads in evaluate's LSAP pool.  A one-step chunk's job holds its own
+# (2, t, t) buffer only while it runs, so a run keeps at most this many.
 _WORKERS = 2
 
 
@@ -226,28 +223,23 @@ def _solve_steps(
 
     Works through the (T, t, n_x) state stacks a chunk of n steps at a time,
     n set by ``_CHUNK_ENTRIES``.  Where a chunk holds one step, on the
-    optimal backend at q in {1, 2}, the step is first offered to
-    :func:`_sweep`.  A step whose halves it certifies, each by the identity
-    or any other pairing of strict row minima, gets its labelled pairing and
-    both totals from it and is neither built nor solved.  Every other chunk
-    is built on the main thread, into a buffer of its own that holds both
-    halves at alpha > 0, and its job is ``assignment._settle``, given the
-    sweep's proof where there is one: a half the sweep certified is not
-    read again, and a job reads the certificate, if it needs one, wherever
-    it runs.  A job runs inline when its result is stored, up to the second
-    built chunk of one step.  There, if the process may run on two or more
-    CPUs, one pool of up to ``_WORKERS`` threads starts for the rest of the
-    run, and that job and every later one go to it; scipy releases the GIL
-    while it solves.  A lone built step, multi-step chunks and a one-CPU
-    process never import ``concurrent.futures``.
+    optimal backend at q in {1, 2}, the main thread first offers the step
+    to :func:`_sweep`.  A step whose halves it certifies, each by the
+    identity or any other pairing of strict row minima, gets its labelled
+    pairing and both totals from it and is neither built nor solved.
 
-    Results are stored in step order, the oldest first, while more than
-    ``_WORKERS`` jobs are held, or any without a pool: so the main thread
-    builds the next chunk while the workers solve earlier ones.  Jobs
-    return their results, so what a job computes does not depend on where
-    it ran.  On the way out, also by an error, the pool cancels the jobs it
-    has not started and waits for the running ones, so no worker outlives
-    the run.
+    Every other chunk is a job: it builds the chunk into a buffer of its
+    own, which holds both halves at alpha > 0, and returns
+    ``assignment._settle`` of it, given the sweep's proof where there is
+    one, so a half the sweep certified is not read again.  When two or more
+    one-step chunks are left and the process may run on two or more CPUs,
+    one pool of up to ``_WORKERS`` threads runs them all; scipy releases
+    the GIL while it solves.  Otherwise they run in order on this thread,
+    and ``concurrent.futures`` is not imported.  Either way results are
+    stored in step order, so a run's report, and the error of its earliest
+    failing chunk, do not depend on where its jobs ran.  On that error the
+    pool cancels the jobs it has not started and waits for the running
+    ones, so no worker outlives the run.
     """
     T, t, _ = est.shape
     halves = 2 if params.alpha > 0.0 else 1
@@ -255,39 +247,31 @@ def _solve_steps(
     perms = np.empty((T, t), dtype=np.intp)
     totals = np.empty((2, T))  # unlabelled, labelled
     sweep = backend is SolverBackend.OPTIMAL and size == 1 and params.base_metric.q in (1.0, 2.0)
-    pool, built, held = None, False, deque()  # held: (steps, result) in step order
+    left, proofs = [], []  # the chunks to build, and what the sweep proved of each half
+    for lo in range(0, T, size):
+        swept = _sweep(est[lo], truth[lo], params) if sweep else None
+        if swept is not None and swept[1].all():
+            perms[lo], totals[:, lo] = swept[0][-1], swept[2]
+        else:
+            left.append(slice(lo, min(lo + size, T)))
+            proofs.append(swept and swept[:2])
 
-    def store(steps, result):
-        chunk_perms, chunk_totals = result()
+    def job(steps, proof):
+        n = steps.stop - steps.start
+        C = cost_stack(est[steps], truth[steps], params, np.empty((halves * n, t, t)))
+        return _settle(C, n, params.alpha**params.p, backend, proof)
+
+    if size == 1 and len(left) >= 2 and (cpus := _cpus()) >= 2:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _lsap_module()  # loaded here, not by two workers at once
+        with ThreadPoolExecutor(min(_WORKERS, cpus)) as pool:
+            results = list(pool.map(job, left, proofs))
+    else:
+        results = map(job, left, proofs)
+    for steps, (chunk_perms, chunk_totals) in zip(left, results):
         perms[steps] = chunk_perms[steps.start - steps.stop :]
         totals[:, steps] = chunk_totals.reshape(halves, -1)  # at alpha = 0, into both
-
-    try:
-        for lo in range(0, T, size):
-            swept = _sweep(est[lo], truth[lo], params) if sweep else None
-            if swept is not None and swept[1].all():
-                perms[lo], totals[:, lo] = swept[0][-1], swept[2]
-                continue
-            steps = slice(lo, min(lo + size, T))
-            n = steps.stop - lo
-            C = cost_stack(est[steps], truth[steps], params, np.empty((halves * n, t, t)))
-            proof = swept and swept[:2]  # None, or what the sweep proved of each half
-            job = functools.partial(_settle, C, n, params.alpha**params.p, backend, proof)
-            if pool is None and size == 1 and built and (cpus := _cpus()) >= 2:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _lsap_module()  # loaded here, not by two workers at once
-                pool = ThreadPoolExecutor(min(_WORKERS, cpus))
-            built = True
-            held.append((steps, pool.submit(job).result if pool is not None else job))
-            del C, job  # else they would keep a stored chunk's buffer through the next build
-            while len(held) > (0 if pool is None else _WORKERS):
-                store(*held.popleft())
-        while held:
-            store(*held.popleft())
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
     return perms, totals[1], totals[0]
 
 

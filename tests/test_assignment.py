@@ -192,10 +192,14 @@ class TestPrunedEnumeration:
             if frontier_entries is not None:  # split the frontier into many pieces
                 mp.setattr(assignment, "_FRONTIER_ENTRIES", frontier_entries)
             perms, totals = solve_stack(stack, SolverBackend.BRUTE_FORCE)
-        for C, perm, total in zip(stack, perms, totals):
+        # The optimal backend on the same stacks, mixed-sign and all-negative ones included.
+        optimal = solve_stack(stack, SolverBackend.OPTIMAL)[1]
+        for C, perm, total, optimal_total in zip(stack, perms, totals, optimal.tolist()):
             expected_total, expected_perm = enum_min_assignment(C.tolist())
             assert tuple(perm) == expected_perm
             assert total == expected_total
+            tolerance = REL_TOL_BACKENDS * max(1.0, abs(expected_total))
+            assert abs(optimal_total - expected_total) <= tolerance
 
     @settings(deadline=None, max_examples=60)
     @given(tie_heavy_stacks())
@@ -518,17 +522,14 @@ class TestThreadedLsap:
 
     @pytest.mark.parametrize(
         "certified, T, pooled",
-        [([], 2, [1]), ([1], 3, [1, 2]), ([0], 4, [1, 2, 3])],
+        [([], 2, [0, 1]), ([1], 3, [0, 1, 2]), ([0], 4, [0, 1, 2, 3])],
         ids=["consecutive", "certified_between", "late"],
     )
-    def test_pool_starts_at_two_consecutive_large_jobs(
-        self, monkeypatch, pools, certified, T, pooled
-    ):
+    def test_each_built_step_on_a_worker_from_two(self, monkeypatch, pools, certified, T, pooled):
         # Every step is built and large.  A certified step is built too, as
         # its estimates equal the truths (the sweep gives up on zero costs),
-        # and its job reads the certificate.  The first of two consecutive
-        # large steps has run inline when the second comes, which starts the
-        # pool.
+        # and its job reads the certificate.  With two or more built steps
+        # the pool runs every one of them, the first included.
         set_cpus(monkeypatch, 2)
         truth, est, params = one_step_chunks(monkeypatch, T, 20, [], seed=77)
         states = est.states.copy()
@@ -544,7 +545,7 @@ class TestThreadedLsap:
         monkeypatch.setattr(evaluate_module, "_settle", recorded)
         evaluate(truth, Trajectory(range(T), states), params)
         assert sorted(threads) == list(range(T))
-        assert [step for step, thread in threads.items() if thread != main] == pooled
+        assert sorted(step for step, thread in threads.items() if thread != main) == pooled
         assert pools == ([2] if pooled else [])
 
     def test_worker_exception_comes_out_unchanged(self, monkeypatch, pools):
@@ -555,7 +556,7 @@ class TestThreadedLsap:
 
         def failing(C):
             threads.append(threading.get_ident())
-            if len(threads) == 3:  # only step 0 is solved in the main thread
+            if len(threads) == 3:  # every step is solved on a worker
                 raise boom
             return real(C)
 

@@ -1,5 +1,6 @@
 """The lospa-eval command line: compute, demo, version, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lospa import SolverBackend, __version__, solve_stack
+import lospa.cli
+from lospa import SolverBackend, __version__, run_demo, solve_stack
 from lospa.cli import main
+from lospa.constants import ABS_TOL_TRIANGLE
 
 from helpers import ESTIMATE_POINTS, TRUTH_POINTS, csv_text, json_doc, source_tree_env
 
@@ -306,6 +309,19 @@ class TestDemoCommand:
         # All six scenario values appear alongside their expected numbers.
         for value in ("0.1290994", "0.8225975", "0.1414213", "1.0049875"):
             assert value in out
+
+    def test_gate_failure_exits_3(self, monkeypatch, capsys):
+        # One cell's computed value moved past the gate's tolerance.
+        demo = run_demo()
+        cells = list(demo.cells)
+        cells[4] = dataclasses.replace(cells[4], computed=cells[4].computed + 2 * ABS_TOL_TRIANGLE)
+        failing = dataclasses.replace(demo, cells=tuple(cells))
+        monkeypatch.setattr(lospa.cli, "run_demo", lambda: failing)
+        assert main(["demo"]) == 3
+        out = capsys.readouterr().out
+        rows = out.splitlines()[3:9]  # one per cell, after the truth line, a blank and the header
+        assert [row.split()[-1] for row in rows] == ["ok"] * 4 + ["MISMATCH", "ok"]
+        assert out.endswith("demo gate: FAIL\n")
 
 
 class TestVersionCommand:

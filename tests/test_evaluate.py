@@ -1,6 +1,7 @@
 """Per-timestep evaluation, report rendering, and the built-in demo."""
 
 import importlib
+import itertools
 import json
 import math
 import subprocess
@@ -695,35 +696,35 @@ class TestFixedPointRule:
 
 
 class TestScheduledSteps:
-    """One-step chunks share one LSAP pool, and a run holds at most three buffers."""
+    """One-step chunks share one LSAP pool, and a run holds at most two buffers."""
 
-    @pytest.mark.parametrize("cpus, buffers", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("cpus, buffers", [(1, 1), (2, 2)])
     def test_buffers_in_use(self, monkeypatch, cpus, buffers):
-        # Six random steps: with two CPUs, from step 1 on their jobs run in
-        # threads while the next step is built.  Workers start solving only
-        # once step 3 is being built, so steps 1 and 2 still hold theirs then.
+        # Six random steps: with two CPUs each is built and solved on one of
+        # two workers, into a buffer that lives while its job runs.  The
+        # first two LSAP calls wait for each other, so both workers' buffers
+        # are alive at once.
         set_cpus(monkeypatch, cpus)
         t = 400
         truth, _, est = near_and_random(np.random.default_rng(86), 6, t)
         args = Trajectory(range(6), truth), Trajectory(range(6), est), LospaParams(alpha=0.5)
-        alive, peak, builds, step_3 = set(), [0], [], threading.Event()
+        alive, peak, builds = set(), [0], []
         real_build, main = evaluate_module.cost_stack, threading.get_ident()
+        both, held = threading.Barrier(2), itertools.count()
 
         def build(est, truth, params, out):
             alive.add(id(out))
             weakref.finalize(out, alive.discard, id(out))
             peak[0] = max(peak[0], len(alive))
             builds.append(out.shape)
-            if len(builds) == 4:
-                step_3.set()
             return real_build(est, truth, params, out)
 
         lsap = assignment._lsap_module()
         real_lsap = lsap.linear_sum_assignment
 
         def gated(C):
-            if threading.get_ident() != main:
-                assert step_3.wait(timeout=60)
+            if threading.get_ident() != main and next(held) < 2:
+                both.wait(timeout=60)
             return real_lsap(C)
 
         monkeypatch.setattr(evaluate_module, "cost_stack", build)
@@ -734,9 +735,33 @@ class TestScheduledSteps:
         assert peak == [buffers]
         assert report.to_json() == two_solve(*args).to_json()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_earliest_failing_step_gives_the_error(self, monkeypatch, tmp_path, capsys, cpus):
+        # Step 0 is random.  Every cost of step 1 is about 1e306, so its
+        # optimal total overflows once it is solved; step 2's build
+        # overflows.  Step 1's error comes out, however many CPUs run them.
+        set_cpus(monkeypatch, cpus)
+        t = 300
+        truth, _, est = near_and_random(np.random.default_rng(87), 3, t)
+        truth[1] *= 1e150
+        est[1] = truth[1]
+        est[1, :, 0] += 1e153
+        est[2, 0, 0] = 1e200
+        with pytest.raises(InvalidCost) as err:
+            evaluate(Trajectory(range(3), truth), Trajectory(range(3), est), LospaParams(alpha=0.5))
+        message = "the total cost of an optimal pairing overflows the float64 range"
+        assert str(err.value) == message
+        paths = tmp_path / "truth.csv", tmp_path / "est.csv"
+        for path, states in zip(paths, (truth, est)):
+            path.write_text(csv_text(list(enumerate(states.tolist())), t=t, nx=2))
+        code = main(["compute", "--truth", str(paths[0]), "--est", str(paths[1]),
+                     "--p", "2", "--alpha", "0.5", "--metric", "euclidean"])
+        assert code == 2
+        assert capsys.readouterr().err == f"lospa-eval: error: {message}\n"
+
     def test_overflow_with_jobs_in_flight(self, monkeypatch, tmp_path, capsys, pools):
-        # Steps 0-3 are random, so from step 1 on their LSAP jobs run in
-        # threads; step 4's build overflows.
+        # Steps 0-3 are random, and every step's job runs in a thread; step
+        # 4's build overflows.
         set_cpus(monkeypatch, 2)
         t = 400
         truth, _, est = near_and_random(np.random.default_rng(84), 5, t, nx=1)
