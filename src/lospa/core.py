@@ -54,6 +54,18 @@ def _as_real(values, error=ValueError, copy=True) -> np.ndarray:
     raise error(f"expected real numbers, got {arr.dtype} values")
 
 
+def _as_int64(values, what: str) -> np.ndarray:
+    """``values`` as a new int64 array; bool, float, string and object arrays raise.
+
+    Integer arrays whose dtype casts safely to int64 are read; ``what``
+    names the values in the ``ValueError`` that refuses any other.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise ValueError(f"{what} must be 64-bit integers, got {arr.dtype} values")
+    return arr.astype(np.int64)
+
+
 def _as_readonly(arr: np.ndarray, dtype=float, error=ValueError) -> np.ndarray:
     out = _as_real(arr, error) if dtype is float else np.array(arr, dtype=dtype)
     out.setflags(write=False)
@@ -251,14 +263,6 @@ class CostMatrix:
         return self.entries.shape[0]
 
 
-def _overflow(params: LospaParams) -> InvalidCost:
-    # Every input is finite and nonnegative, so a non-finite cost is overflow.
-    return InvalidCost(
-        f"cost b(a, b)**p + alpha**p overflows the float64 range "
-        f"(p={params.p:g}, alpha={params.alpha:g})"
-    )
-
-
 # Entries per block of cost_stack, and of its one temporary: whole matrices
 # up to t = 256, rows of one matrix beyond.
 _BUILD_BLOCK_ENTRIES = 1 << 16
@@ -305,13 +309,10 @@ def cost_stack(
     n, t, _ = xs.shape
     q, p = params.base_metric.q, params.p
     loc, labelled = out[:n], out[n:]
-    try:
-        penalty = params.alpha**p if len(labelled) else 0.0
-    except OverflowError:
-        raise _overflow(params) from None
     mats, rows = max(1, _BUILD_BLOCK_ENTRIES // t**2), min(t, max(1, _BUILD_BLOCK_ENTRIES // t))
     scratch = np.empty(min(mats, n) * rows * t)
     with np.errstate(over="ignore"):
+        penalty = np.float64(params.alpha) ** p  # +inf where it overflows
         for i in range(0, n, mats):
             for j in range(0, t, rows):
                 x, y = xs[i : i + mats, j : j + rows], ys[i : i + mats]
@@ -328,9 +329,14 @@ def cost_stack(
     if len(labelled):
         diagonal = np.arange(t)
         labelled[:, diagonal, diagonal] = loc[:, diagonal, diagonal]
-    # The last half is entrywise no smaller than the first, so it holds any overflow.
-    if not math.isfinite(out[-n:].max()):
-        raise _overflow(params)
+    # The last half is entrywise no smaller than the first, so it holds any
+    # overflow; alpha**p is checked too, as at t = 1 no cost holds it.  Every
+    # input is finite and nonnegative, so a non-finite cost is overflow.
+    if not math.isfinite(max(out[-n:].max(), penalty)):
+        raise InvalidCost(
+            f"cost b(a, b)**p + alpha**p overflows the float64 range "
+            f"(p={params.p:g}, alpha={params.alpha:g})"
+        )
     return out
 
 

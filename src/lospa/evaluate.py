@@ -20,7 +20,9 @@ import numpy as np
 
 from .assignment import SolverBackend, _lsap_module, _settle, _sum_in_order
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
-from .core import LospaParams, _minkowski_costs, _require_same_shape, cost_stack
+from .core import (
+    LospaParams, _as_int64, _as_real, _minkowski_costs, _require_same_shape, cost_stack
+)
 from .errors import TimestepMismatch
 from .metric import _distances
 from .trajectory import Trajectory
@@ -85,7 +87,10 @@ class EvalReport:
     distance there, ``ospa[i]`` its alpha = 0 counterpart, and ``perms[i, j]``
     the truth position paired with estimate position j at the labelled optimum.
     The constructor copies the columns into read-only int64 (``k``, ``perms``)
-    and float64 arrays, and is the one place that checks their shapes.
+    and float64 arrays, and is the one place that checks them: it refuses,
+    naming the column, shapes that do not fit, ``k`` and ``perms`` other
+    than integers, distances other than real numbers, and NaN or infinite
+    distances, which no JSON text can hold.
     """
 
     k: np.ndarray
@@ -97,13 +102,19 @@ class EvalReport:
 
     def __post_init__(self):
         names = ("k", "lospa", "ospa", "perms")
-        for name, dtype in zip(names, (np.int64, float, float, np.int64)):
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        k, lospa, ospa, perms = shapes = [getattr(self, name).shape for name in names]
+        k, lospa, ospa, perms = shapes = [np.shape(getattr(self, name)) for name in names]
         if len(perms) != 2 or perms[0] < 1 or not k == lospa == ospa == perms[:1]:
             raise ValueError(f"report columns need shapes (T,) x 3 and (T, t), T >= 1: {shapes}")
+        for name in names:
+            value = getattr(self, name)
+            if name in ("k", "perms"):
+                column = _as_int64(value, f"report column {name}")
+            else:
+                column = _as_real(value, lambda why: ValueError(f"report column {name}: {why}"))
+                if not np.isfinite(column).all():
+                    raise ValueError(f"report column {name} holds NaN or infinity")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     @property
     def mean_lospa(self) -> float:
@@ -318,11 +329,8 @@ def _sweep(
     def costs(a, b):
         return _minkowski_costs(a, b, q, p, np.empty(len(a)), np.empty(len(a)))
 
-    try:
-        penalty = params.alpha**p
-    except OverflowError:
-        return None
     with np.errstate(over="ignore"):
+        penalty = np.float64(params.alpha) ** p  # +inf where it overflows
         corners = np.concatenate((x, y))
         widest = float(costs(corners.max(axis=0)[None], corners.min(axis=0)[None])[0])
         if not math.isfinite(2.0 * (widest + penalty)):

@@ -45,7 +45,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from .core import _as_int, _as_real, _echo
+from .core import _as_int, _as_int64, _as_real, _echo
 from .errors import InconsistentShape, NonFiniteValue, ParseError
 
 __all__ = ["Trajectory", "load_trajectory"]
@@ -71,12 +71,10 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self):
-        ks = np.array(self.time_indices)
+        ks = np.asarray(self.time_indices)
         if ks.ndim != 1 or ks.size < 1:
             raise ValueError("a trajectory needs a 1-D vector of at least one time index")
-        if ks.dtype.kind not in "iu" or not np.can_cast(ks.dtype, np.int64):
-            raise ValueError(f"time indices must be 64-bit integers, got {ks.dtype} values")
-        ks = ks.astype(np.int64)
+        ks = _as_int64(ks, "time indices")
         try:
             states = np.asarray(self.states)
         except ValueError:
@@ -121,9 +119,12 @@ def _trajectory(
     except NonFiniteValue:
         i = int(np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0])
         raise NonFiniteValue(f"NaN or infinity in {path}: {record(i)}") from None
-    except ValueError as exc:  # such as a time index outside int64
+    except ValueError as exc:  # a time index outside int64, or one out of order
         out = next((i for i, k in enumerate(ks) if not -(2**63) <= k < 2**63), None)
-        why = exc if out is None else f"{record(out)}: time index outside the int64 range"
+        if out is not None:
+            raise ParseError(f"{path}: {record(out)}: time index outside the int64 range") from None
+        back = next((i for i in range(1, len(ks)) if ks[i] <= ks[i - 1]), None)
+        why = exc if back is None else f"{record(back)}: {exc}"
         raise ParseError(f"{path}: {why}") from None
 
 

@@ -19,6 +19,7 @@ from lospa import (
     SolverBackend,
     Trajectory,
     build_cost_matrix,
+    lospa,
     parse_base_metric,
     solve_stack,
 )
@@ -285,6 +286,20 @@ class TestBuildCostMatrix:
             build_cost_matrix(A, A, params)
         with pytest.raises(InvalidCost, match="overflows"):
             cost_stack(A.points[None], A.points[None], params, np.empty((2, 2, 2)))
+
+    # alpha**p is +inf once it overflows; at t = 1 no cost holds it, but it still raises.
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_overflowing_alpha_power(self, t):
+        A = mts([float(j) for j in range(t)])
+        params = LospaParams(p=2.0, alpha=1e200)
+        stack = A.points[None], A.points[None], params, np.empty((2, t, t))
+        for call in (lambda: build_cost_matrix(A, A, params), lambda: lospa(A, A, params),
+                     lambda: cost_stack(*stack)):
+            with pytest.raises(InvalidCost) as err:
+                call()
+            assert str(err.value) == (
+                "cost b(a, b)**p + alpha**p overflows the float64 range (p=2, alpha=1e+200)"
+            )
 
 
 OPTIMAL, BRUTE = SolverBackend.OPTIMAL, SolverBackend.BRUTE_FORCE

@@ -141,6 +141,21 @@ class TestEvaluate:
                     ([], [], [], np.empty((0, 2)))):
             with pytest.raises(ValueError, match="report columns"):
                 EvalReport(*bad, LospaParams(), SolverBackend.OPTIMAL)
+        # Each column is read, never cast: a float, string or bool where an
+        # integer or a real belongs, and a distance no JSON text can hold.
+        for name, bad, why in (
+            ("k", [2.9], " must be 64-bit integers, got float64 values"),
+            ("perms", [[0.0, 1.9]], " must be 64-bit integers, got float64 values"),
+            ("k", ["7"], " must be 64-bit integers, got <U1 values"),
+            ("lospa", ["0.5"], ": expected real numbers, got <U3 values"),
+            ("lospa", [True], ": expected real numbers, got bool values"),
+            ("lospa", [math.nan], " holds NaN or infinity"),
+            ("ospa", [math.inf], " holds NaN or infinity"),
+        ):
+            columns = {"k": [0], "lospa": [0.5], "ospa": [0.5], "perms": [[0, 1]], name: bad}
+            with pytest.raises(ValueError) as err:
+                EvalReport(**columns, params_echo=LospaParams(), backend=SolverBackend.OPTIMAL)
+            assert str(err.value) == f"report column {name}{why}"
 
     def test_backend_choice_is_echoed(self):
         report = evaluate(
@@ -820,10 +835,11 @@ class TestScheduledSteps:
 
 
 # Report floats whose texts are easy to get wrong: subnormals, the top of
-# the range, both zeros (equal, but printed apart), NaN, and any other.
+# the range, both zeros (equal, but printed apart), and any other finite
+# one (a report refuses NaN and infinity).
 REPORT_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300, 1.7976931348623157e308, math.nan, 0.1]),
-    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300, 1.7976931348623157e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -912,6 +928,83 @@ class TestReportJson:
 
     def test_trailing_newline(self):
         assert self.make_report().to_json().endswith("}\n")
+
+
+def relation_inputs(kind, seed):
+    """(truth, estimate) (T, t, n_x) stacks of one kind, for the exact relations.
+
+    ``small``: random steps at t <= 8.  ``grid``: coordinates in {0, 1, 2},
+    so costs tie.  ``near``: three t = 300 steps near the truth; steps 0
+    and 2 swap one pair, and two estimates of step 1 are nearest one truth,
+    so it is built and its labelled half settled by the sweep's proof.
+    ``random``: two or three random t = 300 steps, which reach LSAP, and
+    the pool when the process may run on two CPUs.  Coordinates lie on a
+    grid of 2**-20 within 2**12, so every nonzero difference, cost and
+    total lies between 2**-40 and 2**40 at p <= 2.
+    """
+    rng = np.random.default_rng(seed)
+    T, t, nx = int(rng.integers(2, 7)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    if kind == "small":
+        truth, est = rng.uniform(-10.0, 10.0, size=(2, T, t, nx))
+    elif kind == "grid":
+        truth, est = rng.integers(0, 3, size=(2, T, t, nx)).astype(float)
+    elif kind == "near":
+        truth, est, _ = near_and_random(rng, 3, 300)
+        truth[1, :2] = [[0.0, 0.0], [0.1, 0.0]]
+        est[1, :2] = [[0.04, 0.0], [0.02, 0.0]]
+    else:
+        truth, est = rng.uniform(0.0, 1000.0, size=(2, int(rng.integers(2, 4)), 300, 2))
+    return np.round(truth * 2**20) / 2**20, np.round(est * 2**20) / 2**20
+
+
+def solved(est, truth, params, backend):
+    """``_solve_steps``' pairings and labelled and unlabelled totals, the totals as int64 views."""
+    perms, *totals = evaluate_module._solve_steps(est, truth, params, backend)
+    return [perms.tolist()] + [column.view(np.int64).tolist() for column in totals]
+
+
+class TestExactRelations:
+    """Relations that hold bit for bit between ``_solve_steps`` on related inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["small", "grid", "near", "random"]),
+        brute=st.booleans(),
+        alpha=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        p=st.sampled_from([1.0, 2.0]),
+        q=st.sampled_from([1.0, 2.0]),
+        k=st.sampled_from([-40, 7, 150, 300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_negation_reversal_split_and_scaling(self, kind, brute, alpha, p, q, k, seed):
+        truth, est = relation_inputs(kind, seed)
+        T, t, _ = truth.shape
+        if t > 8:  # the optimal backend, at alpha > 0 so that a chunk holds one step
+            brute, alpha = False, alpha or 0.5
+        backend = SolverBackend.BRUTE_FORCE if brute else SolverBackend.OPTIMAL
+        params = LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q))
+        perms, lospa_totals, ospa_totals = base = solved(est, truth, params, backend)
+        # Negating every coordinate leaves every cost's bits, and the report's.
+        assert solved(-est, -truth, params, backend) == base
+        ks = range(T)
+        report = evaluate(Trajectory(ks, truth), Trajectory(ks, est), params, backend)
+        negated = evaluate(Trajectory(ks, -truth), Trajectory(ks, -est), params, backend)
+        assert negated.to_json() == report.to_json()
+        # Steps are independent: in reverse order, and in two runs.
+        assert solved(est[::-1], truth[::-1], params, backend) == [c[::-1] for c in base]
+        m = T // 2
+        head = solved(est[:m], truth[:m], params, backend)
+        tail = solved(est[m:], truth[m:], params, backend)
+        assert [a + b for a, b in zip(head, tail)] == base
+        # Scaled by 2**k, every cost and total scales by 2**(k p) exactly.
+        scale = 2.0**k
+        scaled = solved(est * scale, truth * scale, params.with_alpha(alpha * scale), backend)
+        factor = 2.0 ** (k * p)
+        assert scaled == [
+            perms,
+            (np.array(lospa_totals).view(float) * factor).view(np.int64).tolist(),
+            (np.array(ospa_totals).view(float) * factor).view(np.int64).tolist(),
+        ]
 
 
 class TestDemo:

@@ -162,11 +162,14 @@ class TestCsv:
             load_trajectory(path, "csv")
 
     def test_time_must_increase(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        path.write_text("# t=1 nx=1\nk,x_1_1\n1,1.0\n1,2.0\n")
+        # The error names the line of the first step not above the one before it.
+        path = tmp_path / "dec.csv"
+        path.write_text("# t=1 nx=1\nk,x_1_1\n0,1.0\n5,2.0\n3,3.0\n")
         with pytest.raises(ParseError) as err:
             load_trajectory(path, "csv")
-        assert "increasing" in str(err.value)
+        assert str(err.value) == (
+            f"{path}: line 5: time indices must be strictly increasing, got 5 followed by 3"
+        )
 
     def test_empty_and_headerless_files(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -507,11 +510,14 @@ class TestJson:
         assert str(err.value) == f"{path}: steps[0]: 'targets' is not a rectangular array of reals"
 
     def test_time_must_increase(self, tmp_path):
-        doc = json_doc([(3, [[1.0]]), (2, [[2.0]])], t=1, nx=1)
-        path = tmp_path / "traj.json"
+        doc = json_doc([(0, [[1.0]]), (5, [[2.0]]), (5, [[3.0]])], t=1, nx=1)
+        path = tmp_path / "dec.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             load_trajectory(path, "json")
+        assert str(err.value) == (
+            f"{path}: steps[2]: time indices must be strictly increasing, got 5 followed by 5"
+        )
 
     def test_empty_steps(self, tmp_path):
         path = tmp_path / "traj.json"
