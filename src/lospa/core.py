@@ -78,6 +78,20 @@ def _echo(value) -> str:
     return text if len(text) <= 40 else text[:40] + "…"
 
 
+def _as_float(value, what: str) -> float:
+    """``value`` as a float if it is a real number; bools, strings and None raise.
+
+    Reads what :func:`_as_real` reads in an object array: any
+    ``numbers.Real`` but bool, so Python and numpy ints and floats.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} overflows the float64 range: {_echo(value)}") from None
+    raise ValueError(f"{what} must be a real number, got {_echo(value)}")
+
+
 def _as_int(value, what: str) -> int:
     """``value`` as an int if it is an integer; bools, floats and strings raise."""
     try:
@@ -149,13 +163,15 @@ class BaseMetric:
     """Per-target distance on the state space: Euclidean or a general q-norm.
 
     Any q >= 1 gives a valid metric; q = 2 is the Euclidean distance and the
-    default.  ``name`` is how reports spell the metric; "euclidean" needs q = 2.
+    default.  ``q`` is read as a float from a real number other than bool.
+    ``name`` is how reports spell the metric; "euclidean" needs q = 2.
     """
 
     q: float = 2.0
     name: str = "euclidean"
 
     def __post_init__(self):
+        object.__setattr__(self, "q", _as_float(self.q, "q-norm exponent q"))
         if not (math.isfinite(self.q) and self.q >= 1.0):
             raise ValueError(f"q-norm exponent must satisfy q >= 1, got {self.q}")
         if self.name not in ("euclidean", "pnorm"):
@@ -169,21 +185,13 @@ class BaseMetric:
 
     @classmethod
     def pnorm(cls, q: float) -> "BaseMetric":
-        return cls(q=float(q), name="pnorm")
+        return cls(q=q, name="pnorm")
 
     def describe(self) -> str:
         """Spelling used on the CLI and in report files."""
         if self.name == "euclidean":
             return "euclidean"
         return f"pnorm:{self.q:g}"
-
-    def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """All-pairs distances between rows of two (t, n_x) arrays."""
-        # Imported here: scipy is most of a cold start, and stacks with q in
-        # {1, 2} are built without it (see cost_stack).
-        from scipy.spatial.distance import cdist
-
-        return cdist(xs, ys, "minkowski", p=self.q)
 
 
 def _plain_number(text: str, kind=float):
@@ -214,6 +222,10 @@ def parse_base_metric(text: str) -> BaseMetric:
 class LospaParams:
     """Parameters of the labelled distance.
 
+    ``p`` and ``alpha`` are read as floats from real numbers other than
+    bool; any other value raises ``ValueError``, as does a ``base_metric``
+    that is not a :class:`BaseMetric`.
+
     Args:
         p: order exponent, 1 <= p < infinity.
         alpha: labelling-error penalty, in the units of the base metric;
@@ -227,6 +239,10 @@ class LospaParams:
     base_metric: BaseMetric = field(default_factory=BaseMetric.euclidean)
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _as_float(self.p, "order exponent p"))
+        object.__setattr__(self, "alpha", _as_float(self.alpha, "alpha"))
+        if not isinstance(self.base_metric, BaseMetric):
+            raise ValueError(f"base_metric must be a BaseMetric, got {_echo(self.base_metric)}")
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ValueError(f"order exponent must satisfy 1 <= p < inf, got {self.p}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
@@ -271,21 +287,29 @@ _BUILD_BLOCK_ENTRIES = 1 << 16
 def _minkowski_costs(
     a: np.ndarray, b: np.ndarray, q: float, p: float, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Fill ``out`` with ``b(a, b)**p`` for q in {1, 2} and return it.
+    """Fill ``out`` with ``b(a, b)**p`` and return it.
 
     ``a`` and ``b`` broadcast to ``out.shape`` plus a last axis of n_x
-    components; ``scratch`` has ``out``'s shape.  The components' ``|d|`` or
-    ``d**2`` are added left to right, the first written straight into
-    ``out``, then come one square root at q = 2 and the power p: cdist's
+    components; ``scratch`` has ``out``'s shape.  The components' ``|d|``,
+    ``d**2`` or ``|d|**q`` are added left to right, the first written
+    straight into ``out``, then come the root (``sqrt`` at q = 2, ``**(1/q)``
+    at q not in {1, 2}) and the power p.  The q-th powers and root are
+    ``np.float_power``, libm's ``pow``, as in cdist: so these are cdist's
     bits, and the same bits for an entry wherever it is computed, without
-    importing ``scipy.spatial``, which costs more than most runs' builds.
+    importing scipy's distance module, which costs more than most runs' builds.
     """
     term = np.square if q == 2.0 else np.abs
-    term(np.subtract(a[..., 0], b[..., 0], out=out), out=out)
-    for c in range(1, a.shape[-1]):
-        out += term(np.subtract(a[..., c], b[..., c], out=scratch), out=scratch)
+    for c in range(a.shape[-1]):
+        d = scratch if c else out
+        term(np.subtract(a[..., c], b[..., c], out=d), out=d)
+        if q not in (1.0, 2.0):
+            np.float_power(d, q, out=d)
+        if c:
+            out += d
     if q == 2.0:
         np.sqrt(out, out=out)
+    elif q != 1.0:
+        np.float_power(out, 1.0 / q, out=out)
     out **= p
     return out
 
@@ -299,9 +323,8 @@ def cost_stack(
     gets ``b(xs[i][j], ys[i][k])**p``.  If ``out`` holds 2n matrices,
     ``out[n:]`` gets the labelled costs of :func:`build_cost_matrix`: the
     same plus ``alpha**p`` off the diagonal, one sum per entry.  Each block of
-    ``_BUILD_BLOCK_ENTRIES`` is finished while it is in cache.  For q in
-    {1, 2} each block is one :func:`_minkowski_costs` call; any other q is
-    one ``base_metric.pairwise`` call per matrix.  Both give cdist's bits.
+    ``_BUILD_BLOCK_ENTRIES`` is one :func:`_minkowski_costs` call, finished
+    while it is in cache.
 
     Raises:
         InvalidCost: if a cost overflows the float64 range.
@@ -317,13 +340,8 @@ def cost_stack(
             for j in range(0, t, rows):
                 x, y = xs[i : i + mats, j : j + rows], ys[i : i + mats]
                 block = loc[i : i + mats, j : j + rows]
-                if q in (1.0, 2.0):
-                    d = scratch[: block.size].reshape(block.shape)
-                    _minkowski_costs(x[:, :, None], y[:, None], q, p, block, d)
-                else:
-                    for o, xm, ym in zip(block, x, y):
-                        o[...] = params.base_metric.pairwise(xm, ym)
-                    block **= p
+                d = scratch[: block.size].reshape(block.shape)
+                _minkowski_costs(x[:, :, None], y[:, None], q, p, block, d)
                 if len(labelled):
                     np.add(block, penalty, out=labelled[i : i + mats, j : j + rows])
     if len(labelled):

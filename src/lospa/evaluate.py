@@ -21,7 +21,7 @@ import numpy as np
 from .assignment import SolverBackend, _lsap_module, _settle, _sum_in_order
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import (
-    LospaParams, _as_int64, _as_real, _minkowski_costs, _require_same_shape, cost_stack
+    LospaParams, _as_int64, _as_real, _echo, _minkowski_costs, _require_same_shape, cost_stack
 )
 from .errors import TimestepMismatch
 from .metric import _distances
@@ -88,9 +88,11 @@ class EvalReport:
     the truth position paired with estimate position j at the labelled optimum.
     The constructor copies the columns into read-only int64 (``k``, ``perms``)
     and float64 arrays, and is the one place that checks them: it refuses,
-    naming the column, shapes that do not fit, ``k`` and ``perms`` other
-    than integers, distances other than real numbers, and NaN or infinite
-    distances, which no JSON text can hold.
+    naming the column or field, shapes that do not fit; ``k`` and ``perms``
+    other than integers; distances other than real numbers, negative ones,
+    and NaN or infinite ones, which no JSON text can hold; a ``k`` that is
+    not strictly increasing; ``perms`` rows that are not permutations of
+    0..t-1; and a ``params_echo`` or ``backend`` of another type.
     """
 
     k: np.ndarray
@@ -113,8 +115,28 @@ class EvalReport:
                 column = _as_real(value, lambda why: ValueError(f"report column {name}: {why}"))
                 if not np.isfinite(column).all():
                     raise ValueError(f"report column {name} holds NaN or infinity")
+                if (column < 0.0).any():
+                    raise ValueError(f"report column {name} holds a negative distance")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        k, perms, t = self.k, self.perms, self.perms.shape[1]
+        down = k[1:] <= k[:-1]
+        if down.any():
+            i = int(down.argmax())
+            raise ValueError(
+                f"report column k must be strictly increasing, got {k[i]} followed by {k[i + 1]}"
+            )
+        wrong = (np.sort(perms, axis=1) != np.arange(t)).any(axis=1)
+        if wrong.any():
+            raise ValueError(
+                f"report column perms: row {wrong.argmax()} is not a permutation of 0..{t - 1}"
+            )
+        for name, kind in (("params_echo", LospaParams), ("backend", SolverBackend)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(
+                    f"report field {name} must be a {kind.__name__}, "
+                    f"got {_echo(getattr(self, name))}"
+                )
 
     @property
     def mean_lospa(self) -> float:
@@ -151,7 +173,7 @@ class EvalReport:
             perms[i] = separator.join(map(str, row))
         echo = self.params_echo
         return _REPORT.format(
-            p=float(echo.p), alpha=float(echo.alpha), metric=echo.base_metric.describe(),
+            p=echo.p, alpha=echo.alpha, metric=echo.base_metric.describe(),
             backend=self.backend.value,
             steps=",\n".join(map(_STEP.__mod__, zip(self.k.tolist(), lospa, ospa, perms))),
             mean_lospa=_mean(lospa_values), max_lospa=max(lospa_values),

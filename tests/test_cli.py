@@ -504,7 +504,7 @@ def compute_args(truth, est, out, metric="euclidean", backend="optimal", p="2", 
 
 
 class TestScipyOnDemand:
-    """scipy is imported only for cdist, at q other than 1 and 2, or for LSAP.
+    """scipy is imported only for LSAP; costs are built by numpy at every q.
 
     LSAP solves every matrix that fails the row-minimum certificate, and
     loads scipy's LSAP extension module alone, not the ``scipy.optimize``
@@ -518,6 +518,15 @@ class TestScipyOnDemand:
     def test_near_correct_t5(self, tmp_path):
         truth, est = write_trajectories(tmp_path, "near", t=5, nx=2)
         assert run_fresh(*compute_args(truth, est, tmp_path / "r.json")) == (0, "", [])
+
+    @pytest.mark.parametrize("metric", ["pnorm:3", "pnorm:1.5"])
+    @pytest.mark.parametrize(
+        "estimate, loaded", [("near", []), ("random", ["scipy.optimize._lsap"])]
+    )
+    def test_any_q_loads_what_euclidean_loads(self, tmp_path, metric, estimate, loaded):
+        truth, est = write_trajectories(tmp_path, estimate, t=5, nx=2)
+        args = compute_args(truth, est, tmp_path / "r.json", metric=metric)
+        assert run_fresh(*args) == (0, "", loaded)
 
     def test_brute_pnorm1_t8(self, tmp_path):
         truth, est = write_trajectories(tmp_path, "near", t=8, nx=3)

@@ -105,8 +105,9 @@ class TestMultiTargetState:
 
 
 def distance(metric, x, y):
-    """Base distance between two single coordinate vectors."""
-    return float(metric.pairwise(np.array([x], dtype=float), np.array([y], dtype=float))[0, 0])
+    """Base distance between two single coordinate vectors: a cost at p = 1, alpha = 0."""
+    params = LospaParams(p=1.0, alpha=0.0, base_metric=metric)
+    return float(build_cost_matrix(mts([x]), mts([y]), params).entries[0, 0])
 
 
 class TestBaseMetric:
@@ -137,15 +138,28 @@ class TestBaseMetric:
         assert BaseMetric(q=2.0) == BaseMetric.euclidean()
         assert BaseMetric(q=3.0, name="pnorm").describe() == "pnorm:3"
 
-    def test_pairwise_matches_distance(self):
+    def test_cost_entries_match_distance(self):
         rng = np.random.default_rng(7)
         xs, ys = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         for q in (1.0, 2.0, 3.5):
-            table = BaseMetric.pnorm(q).pairwise(xs, ys)
+            params = LospaParams(p=1.0, alpha=0.0, base_metric=BaseMetric.pnorm(q))
+            table = build_cost_matrix(mts(xs), mts(ys), params).entries
             for j in range(4):
                 for k in range(4):
                     expected = qnorm_dist(xs[j].tolist(), ys[k].tolist(), q)
                     assert table[j, k] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [True, np.True_, "1_5", None])
+    def test_q_that_is_not_a_real_number_is_refused(self, q):
+        for make in (lambda: BaseMetric(q=q, name="pnorm"), lambda: BaseMetric.pnorm(q)):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == f"q-norm exponent q must be a real number, got {q!r}"
+
+    @pytest.mark.parametrize("q", [3, np.int64(3), np.float32(3.0), 3.0])
+    def test_python_and_numpy_numbers_are_read_as_floats(self, q):
+        metric = BaseMetric.pnorm(q)
+        assert type(metric.q) is float and metric.describe() == "pnorm:3"
 
     def test_describe_parse_round_trip(self):
         for text in ("euclidean", "pnorm:1.5", "pnorm:3"):
@@ -187,6 +201,25 @@ class TestLospaParams:
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(ValueError):
             LospaParams(alpha=alpha)
+
+    @pytest.mark.parametrize("field, value, why", [
+        ("p", True, "order exponent p must be a real number, got True"),
+        ("alpha", True, "alpha must be a real number, got True"),
+        ("p", "2", "order exponent p must be a real number, got '2'"),
+        ("alpha", None, "alpha must be a real number, got None"),
+        ("alpha", 10**400, "alpha overflows the float64 range: 1000"),
+        ("base_metric", "euclidean", "base_metric must be a BaseMetric, got 'euclidean'"),
+    ], ids=["p-bool", "alpha-bool", "p-str", "alpha-None", "alpha-huge-int", "base_metric-str"])
+    def test_parameters_of_another_type_are_refused(self, field, value, why):
+        with pytest.raises(ValueError) as err:
+            LospaParams(**{field: value})
+        assert str(err.value).startswith(why)
+
+    def test_python_and_numpy_numbers_are_read_as_floats(self):
+        params = LospaParams(p=np.int64(3), alpha=np.float32(0.5))
+        assert (params.p, params.alpha) == (3.0, 0.5)
+        assert type(params.p) is float and type(params.alpha) is float
+        assert LospaParams(p=1, alpha=0) == LospaParams(p=1.0, alpha=0.0)
 
     def test_alpha_zero_allowed(self):
         assert LospaParams(alpha=0.0).alpha == 0.0

@@ -156,6 +156,25 @@ class TestEvaluate:
             with pytest.raises(ValueError) as err:
                 EvalReport(**columns, params_echo=LospaParams(), backend=SolverBackend.OPTIMAL)
             assert str(err.value) == f"report column {name}{why}"
+        # ... and so are values no report holds: time indices out of order,
+        # pairings that are no permutation, negative distances, and fields of
+        # another type, which to_json() would write or fail on.
+        for name, bad, message in (
+            ("perms", [[0, 0], [7, -1]], "report column perms: row 0 is not a permutation of 0..1"),
+            ("perms", [[1, 0], [0, 2]], "report column perms: row 1 is not a permutation of 0..1"),
+            ("k", [3, 3], "report column k must be strictly increasing, got 3 followed by 3"),
+            ("k", [5, 3], "report column k must be strictly increasing, got 5 followed by 3"),
+            ("lospa", [-1.0, 0.5], "report column lospa holds a negative distance"),
+            ("ospa", [0.5, -5e-324], "report column ospa holds a negative distance"),
+            ("backend", "optimal", "report field backend must be a SolverBackend, got 'optimal'"),
+            ("params_echo", None, "report field params_echo must be a LospaParams, got None"),
+        ):
+            fields = {"k": [0, 1], "lospa": [0.5, 0.5], "ospa": [0.5, 0.5],
+                      "perms": [[0, 1], [1, 0]], "params_echo": LospaParams(),
+                      "backend": SolverBackend.OPTIMAL, name: bad}
+            with pytest.raises(ValueError) as err:
+                EvalReport(**fields)
+            assert str(err.value) == message
 
     def test_backend_choice_is_echoed(self):
         report = evaluate(
@@ -836,20 +855,22 @@ class TestScheduledSteps:
 
 # Report floats whose texts are easy to get wrong: subnormals, the top of
 # the range, both zeros (equal, but printed apart), and any other finite
-# one (a report refuses NaN and infinity).
+# one that is not negative (a report refuses NaN, infinity and negative
+# distances).
 REPORT_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300, 1.7976931348623157e308, 0.1]),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, allow_infinity=False),
 )
 
 
 @st.composite
 def random_reports(draw):
     """EvalReports of 1-6 steps and 1-5 targets with identity and other pairings,
-    and ospa equal to lospa, its negation (-0.0 for 0.0) or another float."""
+    and ospa equal to lospa, the other zero where lospa is a zero, or another float."""
     T, t = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     lospa = draw(st.lists(REPORT_FLOATS, min_size=T, max_size=T))
-    ospa = [draw(st.one_of(st.just(x), st.just(-x), REPORT_FLOATS)) for x in lospa]
+    ospa = [draw(st.one_of(st.just(x), st.just(-x if x == 0.0 else x), REPORT_FLOATS))
+            for x in lospa]
     pairing = st.one_of(st.just(list(range(t))), st.permutations(range(t)))
     ks = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=T, max_size=T, unique=True)
     metrics = [BaseMetric(), BaseMetric.pnorm(1.0), BaseMetric.pnorm(3.5)]

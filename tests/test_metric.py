@@ -9,10 +9,13 @@ Python enumeration) before the library existed.
 import importlib
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lospa import (
+    BaseMetric,
     CapExceeded,
     DimensionMismatch,
     InvalidCost,
@@ -187,6 +190,69 @@ def test_lospa_gives_evaluates_rows_at_t_300(monkeypatch, lsap_calls):
     # evaluate solves both halves of the random step, whose labelled pairing
     # keeps a target; lospa() solves its labelled matrix.
     assert len(lsap_calls) == 3
+
+
+def relation_states(kind, t, nx, rng):
+    """Two (t, n_x) states of one kind, on a grid of 2**-20 within 2**12.
+
+    ``random``: independent; ``near``: the second is the first plus noise of
+    0.1, so the row-minimum certificate holds; ``swap``: ``near`` with one
+    pair of targets swapped; ``grid``: coordinates in {0, 1, 2}, so costs
+    tie.  Every nonzero difference lies between 2**-20 and 2**13, so at
+    p, q <= 2 no cost or total underflows or overflows after a scaling by
+    2**k, -40 <= k <= 300.
+    """
+    if kind == "grid":
+        a, b = rng.integers(0, 3, size=(2, t, nx)).astype(float)
+    else:
+        a = rng.uniform(-1000.0, 1000.0, size=(t, nx))
+        if kind == "random":
+            b = rng.uniform(-1000.0, 1000.0, size=(t, nx))
+        else:
+            b = a + rng.normal(0.0, 0.1, size=(t, nx))
+        if kind == "swap" and t > 1:
+            j, k = rng.choice(t, size=2, replace=False)
+            b[[j, k]] = b[[k, j]]
+    return np.round(a * 2**20) / 2**20, np.round(b * 2**20) / 2**20
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "near", "swap", "grid"]),
+    small=st.booleans(),
+    p=st.sampled_from([1.0, 1.5, 2.0]),
+    q=st.sampled_from([1.0, 2.0, 3.0]),
+    alpha=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    k=st.sampled_from([-40, 7, 150, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_negation_and_scaling_relations(kind, small, p, q, alpha, k, seed):
+    """``lospa()`` on negated and on 2**k-scaled states, on every backend it allows.
+
+    Negation leaves every |d| and d**2, so every cost, with the same bits:
+    the distance and the pairing are the same.  Scaling the states and alpha
+    by 2**k at p, q in {1, 2} scales every difference, cost and total
+    exactly, so the pairing is kept and the total is 2**(k p) times the
+    first.  The distance, ``(total / t) ** (1 / p)``, then scales exactly at
+    p = 1; at p = 2 it is within one ulp, as libm's ``pow`` is not
+    correctly rounded (ROADMAP item 9(a)).
+    """
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(1, 9)) if small else int(rng.integers(9, 61))
+    a, b = relation_states(kind, t, int(rng.integers(1, 4)), rng)
+    params = LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q))
+    scale = 2.0**k
+    for backend in list(SolverBackend) if t <= 8 else [SolverBackend.OPTIMAL]:
+        base = lospa(MultiTargetState(a), MultiTargetState(b), params, backend)
+        negated = lospa(MultiTargetState(-a), MultiTargetState(-b), params, backend)
+        assert negated.distance.hex() == base.distance.hex()
+        assert negated.optimal_perm.tolist() == base.optimal_perm.tolist()
+        if p in (1.0, 2.0) and q in (1.0, 2.0):
+            scaled = lospa(MultiTargetState(a * scale), MultiTargetState(b * scale),
+                           params.with_alpha(alpha * scale), backend)
+            assert scaled.optimal_perm.tolist() == base.optimal_perm.tolist()
+            expected = base.distance * scale
+            assert abs(scaled.distance - expected) <= (0.0 if p == 1.0 else math.ulp(expected))
 
 
 @pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)

@@ -5,12 +5,13 @@ import json
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy.spatial.distance import cdist
 
 from lospa import (
     BaseMetric,
     EvalReport,
+    InvalidCost,
     LabelledSet,
     LabelledTarget,
     LospaError,
@@ -163,27 +164,40 @@ def state_stacks(draw):
 @settings(deadline=None)
 @given(
     state_stacks(),
-    # pnorm:1.5 takes the per-matrix cdist path, also split into blocks of rows.
-    st.sampled_from(
-        [BaseMetric.euclidean(), BaseMetric.pnorm(1.0), BaseMetric.pnorm(2.0), BaseMetric.pnorm(1.5)]
-    ),
+    # pnorm:1.5 and pnorm:3 reach the build's float_power q-th powers and
+    # roots, and at pnorm:3 a difference above about 5.6e102 overflows.
+    st.sampled_from([
+        BaseMetric.euclidean(), BaseMetric.pnorm(1.0), BaseMetric.pnorm(2.0),
+        BaseMetric.pnorm(1.5), BaseMetric.pnorm(3.0),
+    ]),
     st.sampled_from([1.0, 1.5, 2.0]),
     st.sampled_from([0.0, 0.5, 1.0]),
     # Smaller blocks split small matrices into rows too, and stacks into groups
     # of matrices with a shorter last group (60 entries hold two 5 x 5 matrices).
     st.sampled_from([None, 1, 7, 60, 300]),
 )
+# |2e120|**3 overflows: the build raises where the reference is infinite.
+@example((np.full((1, 1, 1), 1e120), np.full((1, 1, 1), -1e120)), BaseMetric.pnorm(3.0),
+         1.0, 0.0, None)
 def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p, alpha, block):
-    """Both halves: cdist's b**p, and the same plus alpha**p off the diagonal."""
+    """Both halves: cdist's b**p, and the same plus alpha**p off the diagonal.
+
+    Where a reference cost overflows, the build raises InvalidCost instead.
+    """
     xs, ys = stacks
     params = LospaParams(p=p, alpha=alpha, base_metric=metric)
     n, t, _ = xs.shape
+    with np.errstate(over="ignore"):
+        ref = np.array([cdist(x, y, "minkowski", p=metric.q) for x, y in zip(xs, ys)]) ** p
+    labelled = np.where(np.eye(t, dtype=bool), ref, ref + alpha**p)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(core, "_BUILD_BLOCK_ENTRIES", block)
+        if not np.isfinite(labelled).all():
+            with pytest.raises(InvalidCost, match="overflows the float64 range"):
+                cost_stack(xs, ys, params, np.empty((2 * n, t, t)))
+            return
         out = cost_stack(xs, ys, params, np.empty((2 * n, t, t)))
-    ref = np.array([cdist(x, y, "minkowski", p=metric.q) for x, y in zip(xs, ys)]) ** p
-    labelled = np.where(np.eye(t, dtype=bool), ref, ref + alpha**p)
     assert np.array_equal(out[:n].view(np.int64), ref.view(np.int64))
     assert np.array_equal(out[n:].view(np.int64), labelled.view(np.int64))
 
@@ -192,12 +206,13 @@ def test_cost_build_matches_cdist_bit_for_bit(stacks, metric, p, alpha, block):
 def report_columns(draw):
     """k, lospa, ospa and perms columns of a report of 1-20 steps.
 
-    Time indices span int64, and distances run from 0 through subnormals
-    to 1e308.
+    Time indices are strictly increasing and span int64, and distances run
+    from 0 through subnormals to 1e308.
     """
     t = draw(st.sampled_from([1, 2, 5, 17]))
     T = draw(st.integers(1, 20))
-    ks = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=T, max_size=T))
+    ks = sorted(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=T, max_size=T,
+                              unique=True)))
     distances = st.lists(st.floats(min_value=0.0, max_value=1e308), min_size=T, max_size=T)
     perms = [list(draw(st.permutations(range(t)))) for _ in range(T)]
     return ks, draw(distances), draw(distances), perms
