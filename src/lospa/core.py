@@ -279,8 +279,8 @@ class CostMatrix:
         return self.entries.shape[0]
 
 
-# Entries per block of cost_stack, and of its one temporary: whole matrices
-# up to t = 256, rows of one matrix beyond.
+# Entries per block of cost_stack, of its one temporary, and of each half of
+# an evaluate chunk: whole matrices up to t = 256, rows of one matrix beyond.
 _BUILD_BLOCK_ENTRIES = 1 << 16
 
 
@@ -322,9 +322,10 @@ def cost_stack(
     ``xs`` and ``ys`` are (n, t, n_x) stacks of validated states.  ``out[:n]``
     gets ``b(xs[i][j], ys[i][k])**p``.  If ``out`` holds 2n matrices,
     ``out[n:]`` gets the labelled costs of :func:`build_cost_matrix`: the
-    same plus ``alpha**p`` off the diagonal, one sum per entry.  Each block of
-    ``_BUILD_BLOCK_ENTRIES`` is one :func:`_minkowski_costs` call, finished
-    while it is in cache.
+    same plus ``alpha**p`` off the diagonal, one sum per entry.  Each block,
+    rows of every matrix of a half in ``_BUILD_BLOCK_ENTRIES`` entries, is
+    one :func:`_minkowski_costs` call, finished while it is in cache.
+    Callers pass one matrix, or at most one block per half.
 
     Raises:
         InvalidCost: if a cost overflows the float64 range.
@@ -332,18 +333,16 @@ def cost_stack(
     n, t, _ = xs.shape
     q, p = params.base_metric.q, params.p
     loc, labelled = out[:n], out[n:]
-    mats, rows = max(1, _BUILD_BLOCK_ENTRIES // t**2), min(t, max(1, _BUILD_BLOCK_ENTRIES // t))
-    scratch = np.empty(min(mats, n) * rows * t)
+    rows = min(t, max(1, _BUILD_BLOCK_ENTRIES // (n * t)))
+    scratch = np.empty(n * rows * t)
     with np.errstate(over="ignore"):
         penalty = np.float64(params.alpha) ** p  # +inf where it overflows
-        for i in range(0, n, mats):
-            for j in range(0, t, rows):
-                x, y = xs[i : i + mats, j : j + rows], ys[i : i + mats]
-                block = loc[i : i + mats, j : j + rows]
-                d = scratch[: block.size].reshape(block.shape)
-                _minkowski_costs(x[:, :, None], y[:, None], q, p, block, d)
-                if len(labelled):
-                    np.add(block, penalty, out=labelled[i : i + mats, j : j + rows])
+        for j in range(0, t, rows):
+            block = loc[:, j : j + rows]
+            d = scratch[: block.size].reshape(block.shape)
+            _minkowski_costs(xs[:, j : j + rows, None], ys[:, None], q, p, block, d)
+            if len(labelled):
+                np.add(block, penalty, out=labelled[:, j : j + rows])
     if len(labelled):
         diagonal = np.arange(t)
         labelled[:, diagonal, diagonal] = loc[:, diagonal, diagonal]

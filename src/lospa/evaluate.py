@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .assignment import SolverBackend, _lsap_module, _settle, _sum_in_order
 from .constants import ABS_TOL_TRIANGLE, REPORT_FLOAT_DIGITS
 from .core import (
@@ -63,18 +64,13 @@ _STEP = """\
       ]
     }"""
 
-# Cost entries per chunk buffer, both halves counted (2 MiB of float64): at
-# alpha > 0 about five thousand steps at t = 5.  A one-step chunk (t >= 257 at
-# alpha > 0, t >= 363 at alpha = 0) is swept, and its LSAP job may run in threads.
-_CHUNK_ENTRIES = 1 << 18
-
 # Most in-band pairs per target that _sweep computes before it gives up: a
 # near-correct step has about one, an unrelated one a sizeable share of t.
 # The band of a row whose estimate sits at another target's truth reaches
 # its own truth, so one swapped pair can span most truths between them.
 _SWEEP_PAIRS = 4
 
-# Most threads in evaluate's LSAP pool.  A one-step chunk's job holds its own
+# Threads in evaluate's LSAP pool.  A one-step chunk's job holds its own
 # (2, t, t) buffer only while it runs, so a run keeps at most this many.
 _WORKERS = 2
 
@@ -88,11 +84,12 @@ class EvalReport:
     the truth position paired with estimate position j at the labelled optimum.
     The constructor copies the columns into read-only int64 (``k``, ``perms``)
     and float64 arrays, and is the one place that checks them: it refuses,
-    naming the column or field, shapes that do not fit; ``k`` and ``perms``
-    other than integers; distances other than real numbers, negative ones,
-    and NaN or infinite ones, which no JSON text can hold; a ``k`` that is
-    not strictly increasing; ``perms`` rows that are not permutations of
-    0..t-1; and a ``params_echo`` or ``backend`` of another type.
+    naming the column or field, shapes that do not fit, ragged ones, and
+    reports of no step or no target; ``k`` and ``perms`` other than
+    integers; distances other than real numbers, negative ones, and NaN or
+    infinite ones, which no JSON text can hold; a ``k`` that is not strictly
+    increasing; ``perms`` rows that are not permutations of 0..t-1; and a
+    ``params_echo`` or ``backend`` of another type.
     """
 
     k: np.ndarray
@@ -104,9 +101,15 @@ class EvalReport:
 
     def __post_init__(self):
         names = ("k", "lospa", "ospa", "perms")
-        k, lospa, ospa, perms = shapes = [np.shape(getattr(self, name)) for name in names]
-        if len(perms) != 2 or perms[0] < 1 or not k == lospa == ospa == perms[:1]:
-            raise ValueError(f"report columns need shapes (T,) x 3 and (T, t), T >= 1: {shapes}")
+        shapes = []
+        for name in names:
+            try:
+                shapes.append(np.shape(getattr(self, name)))
+            except ValueError:  # numpy refuses ragged nested sequences
+                raise ValueError(f"report column {name} has rows of different lengths") from None
+        k, lospa, ospa, perms = shapes
+        if len(perms) != 2 or min(perms) < 1 or not k == lospa == ospa == perms[:1]:
+            raise ValueError(f"report columns need shapes (T,) x 3 and (T, t), T, t >= 1: {shapes}")
         for name in names:
             value = getattr(self, name)
             if name in ("k", "perms"):
@@ -255,28 +258,30 @@ def _solve_steps(
     """Labelled pairings and labelled/unlabelled totals for every step.
 
     Works through the (T, t, n_x) state stacks a chunk of n steps at a time,
-    n set by ``_CHUNK_ENTRIES``.  Where a chunk holds one step, on the
-    optimal backend at q in {1, 2}, the main thread first offers the step
-    to :func:`_sweep`.  A step whose halves it certifies, each by the
-    identity or any other pairing of strict row minima, gets its labelled
-    pairing and both totals from it and is neither built nor solved.
+    n set by ``core._BUILD_BLOCK_ENTRIES`` so that each half of a chunk is
+    one block of :func:`cost_stack`: from t = 182, one step.  Where a chunk
+    holds one step, on the optimal backend at q in {1, 2}, the main thread
+    first offers the step to :func:`_sweep`.  A step whose halves it
+    certifies, each by the identity or any other pairing of strict row
+    minima, gets its labelled pairing and both totals from it and is neither
+    built nor solved.
 
     Every other chunk is a job: it builds the chunk into a buffer of its
     own, which holds both halves at alpha > 0, and returns
     ``assignment._settle`` of it, given the sweep's proof where there is
     one, so a half the sweep certified is not read again.  When two or more
     one-step chunks are left and the process may run on two or more CPUs,
-    one pool of up to ``_WORKERS`` threads runs them all; scipy releases
-    the GIL while it solves.  Otherwise they run in order on this thread,
-    and ``concurrent.futures`` is not imported.  Either way results are
-    stored in step order, so a run's report, and the error of its earliest
-    failing chunk, do not depend on where its jobs ran.  On that error the
-    pool cancels the jobs it has not started and waits for the running
-    ones, so no worker outlives the run.
+    one pool of ``_WORKERS`` threads runs them all; scipy releases the GIL
+    while it solves.  Otherwise they run in order on this thread, and
+    ``concurrent.futures`` is not imported.  Either way results are stored
+    in step order, so a run's report, and the error of its earliest failing
+    chunk, do not depend on where its jobs ran.  On that error the pool
+    cancels the jobs it has not started and waits for the running ones, so
+    no worker outlives the run.
     """
     T, t, _ = est.shape
     halves = 2 if params.alpha > 0.0 else 1
-    size = max(1, _CHUNK_ENTRIES // (halves * t * t))
+    size = max(1, core._BUILD_BLOCK_ENTRIES // (t * t))
     perms = np.empty((T, t), dtype=np.intp)
     totals = np.empty((2, T))  # unlabelled, labelled
     sweep = backend is SolverBackend.OPTIMAL and size == 1 and params.base_metric.q in (1.0, 2.0)
@@ -294,11 +299,11 @@ def _solve_steps(
         C = cost_stack(est[steps], truth[steps], params, np.empty((halves * n, t, t)))
         return _settle(C, n, params.alpha**params.p, backend, proof)
 
-    if size == 1 and len(left) >= 2 and (cpus := _cpus()) >= 2:
+    if size == 1 and len(left) >= 2 and _cpus() >= 2:
         from concurrent.futures import ThreadPoolExecutor
 
         _lsap_module()  # loaded here, not by two workers at once
-        with ThreadPoolExecutor(min(_WORKERS, cpus)) as pool:
+        with ThreadPoolExecutor(_WORKERS) as pool:
             results = list(pool.map(job, left, proofs))
     else:
         results = map(job, left, proofs)

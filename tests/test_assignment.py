@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from scipy.optimize import linear_sum_assignment
 
-from lospa import assignment
+from lospa import assignment, core
 from lospa import (
     BaseMetric,
     CapExceeded,
@@ -437,7 +437,7 @@ def one_step_chunks(monkeypatch, T, t, certified, seed, alpha=0.5):
     the certificate settles them.  At every other step every estimate sits
     near truth 0: every row's argmin is column 0, so LSAP solves both halves.
     """
-    monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(core, "_BUILD_BLOCK_ENTRIES", 1)
     rng = np.random.default_rng(seed)
     truth = 10.0 * np.arange(t)[:, None] + rng.uniform(-1.0, 1.0, size=(T, t, 2))
     est = truth[:, :1] + rng.uniform(-1.0, 1.0, size=(T, t, 2))
@@ -474,11 +474,11 @@ class TestThreadedLsap:
 
     @pytest.mark.parametrize(
         "alpha, t, pooled",
-        [(1.0, 256, False), (1.0, 257, True), (0.0, 362, False), (0.0, 363, True)],
+        [(1.0, 181, False), (1.0, 182, True), (0.0, 181, False), (0.0, 182, True)],
     )
     def test_pool_only_for_one_step_chunks(self, monkeypatch, lsap_calls, pools, alpha, t, pooled):
-        # With the real _CHUNK_ENTRIES a chunk holds one step from t = 257 at
-        # alpha > 0 and from t = 363 at alpha = 0.  Random steps need LSAP.
+        # With the real _BUILD_BLOCK_ENTRIES a chunk holds one step from
+        # t = 182 at every alpha.  Random steps need LSAP.
         set_cpus(monkeypatch, 2)
         evaluate(*random_steps(3, t, alpha, seed=t))
         assert len(lsap_calls) >= 3

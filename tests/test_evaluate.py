@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.optimize import linear_sum_assignment
 
-from lospa import assignment
+from lospa import assignment, core
 from lospa import (
     BaseMetric,
     CapExceeded,
@@ -137,10 +137,17 @@ class TestEvaluate:
         assert report.lospa.tolist() == [0.5, 0.25]
         assert report.perms.tolist() == [[0, 1], [1, 0]]
         assert (report.mean_lospa, report.max_lospa) == (0.375, 0.5)
+        # No state has t = 0, so a report of no targets is refused too.
         for bad in ((k, values[:1], values, perms), (k, values, values, perms[0]),
-                    ([], [], [], np.empty((0, 2)))):
-            with pytest.raises(ValueError, match="report columns"):
+                    ([], [], [], np.empty((0, 2))), (k, values, values, np.empty((2, 0), int))):
+            with pytest.raises(ValueError, match=r"report columns .* T, t >= 1: "):
                 EvalReport(*bad, LospaParams(), SolverBackend.OPTIMAL)
+        for name in ("k", "lospa", "perms"):
+            columns = {"k": [0, 1], "lospa": [0.5, 0.5], "ospa": [0.5, 0.5],
+                       "perms": [[0, 1], [1, 0]], name: [[0, 1], [0]]}
+            with pytest.raises(ValueError) as err:
+                EvalReport(**columns, params_echo=LospaParams(), backend=SolverBackend.OPTIMAL)
+            assert str(err.value) == f"report column {name} has rows of different lengths"
         # Each column is read, never cast: a float, string or bool where an
         # integer or a real belongs, and a distance no JSON text can hold.
         for name, bad, why in (
@@ -212,7 +219,7 @@ class TestChunkedEvaluation:
     @pytest.mark.parametrize("alpha", [0.0, 0.6])
     def test_every_step_matches_oracle_and_brute_force(self, monkeypatch, t, q, alpha):
         # Chunks of 2 steps, so T = 5 ends on a partial chunk.
-        monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 2 * t * t)
+        monkeypatch.setattr(core, "_BUILD_BLOCK_ENTRIES", 2 * t * t)
         T = 5
         truth, near, random = near_and_random(np.random.default_rng(61 + t), T, t)
         params = LospaParams(p=1.5, alpha=alpha, base_metric=BaseMetric.pnorm(q))
@@ -236,7 +243,7 @@ class TestChunkedEvaluation:
     @pytest.mark.parametrize("alpha", [0.6, 20.0])
     def test_stacked_halves_in_chunks_of_two(self, monkeypatch, t, q, alpha):
         # One chunk holds both halves of 2 steps; T = 5 ends on a partial chunk.
-        monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 4 * t * t)
+        monkeypatch.setattr(core, "_BUILD_BLOCK_ENTRIES", 2 * t * t)
         stacks = []
 
         def counted(xs, ys, params, out):
@@ -297,7 +304,7 @@ class TestChunkedEvaluation:
         truth, near, _ = near_and_random(np.random.default_rng(62), 7, 3)
         args = (Trajectory(range(7), truth), Trajectory(range(7), near), LospaParams(alpha=0.6))
         whole = evaluate(*args).to_json()
-        monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 1)
+        monkeypatch.setattr(core, "_BUILD_BLOCK_ENTRIES", 1)
         assert evaluate(*args).to_json() == whole
 
 
@@ -352,7 +359,7 @@ class TestSweep:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        t=st.sampled_from([257, 362, 363, 400]),
+        t=st.sampled_from([182, 256, 257, 362, 363, 400]),
         nx=st.integers(1, 3),
         alpha=st.sampled_from([0.0, 0.5]),
         q=st.sampled_from([1.0, 2.0, 3.0]),
@@ -415,7 +422,7 @@ class TestSweep:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        t=st.sampled_from([257, 400]),
+        t=st.sampled_from([182, 257, 400]),
         nx=st.integers(1, 3),
         alpha=st.sampled_from([0.0, 0.5]),
         q=st.sampled_from([1.0, 2.0]),
@@ -626,7 +633,7 @@ class TestFixedPointRule:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        t=st.integers(257, 420),
+        t=st.integers(182, 420),
         alpha=st.sampled_from([0.5, 1.0, 30.0]),
         p=st.sampled_from([1.0, 2.0, 3.0]),
         q=st.sampled_from([1.0, 2.0, 3.0]),
@@ -677,7 +684,7 @@ class TestFixedPointRule:
     @pytest.mark.parametrize("t", [2, 3, 5, 8])
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_small_t_matches_the_oracle(self, monkeypatch, t, p):
-        monkeypatch.setattr(evaluate_module, "_CHUNK_ENTRIES", 1)  # one step per chunk
+        monkeypatch.setattr(core, "_BUILD_BLOCK_ENTRIES", 1)  # one step per chunk
         results = rule_results(monkeypatch)
         # Even steps keep no target at the labelled optimum, odd ones are random.
         T = 12
@@ -1000,8 +1007,8 @@ class TestExactRelations:
     def test_negation_reversal_split_and_scaling(self, kind, brute, alpha, p, q, k, seed):
         truth, est = relation_inputs(kind, seed)
         T, t, _ = truth.shape
-        if t > 8:  # the optimal backend, at alpha > 0 so that a chunk holds one step
-            brute, alpha = False, alpha or 0.5
+        if t > 8:  # the optimal backend, where a chunk holds one step at every alpha
+            brute = False
         backend = SolverBackend.BRUTE_FORCE if brute else SolverBackend.OPTIMAL
         params = LospaParams(p=p, alpha=alpha, base_metric=BaseMetric.pnorm(q))
         perms, lospa_totals, ospa_totals = base = solved(est, truth, params, backend)

@@ -254,6 +254,8 @@ _FRAGMENTS = [
 def test_loader_raises_only_input_errors(tmp_path_factory, pieces, fmt):
     """Any file either loads or raises an error that the CLI turns into exit 2."""
     path = tmp_path_factory.getbasetemp() / f"fuzz.{fmt}"
+    # Writing a new file is far cheaper than rewriting one on some filesystems.
+    path.unlink(missing_ok=True)
     path.write_bytes(b"".join(pieces))
     try:
         load_trajectory(path, fmt)

@@ -278,6 +278,7 @@ class TestCsv:
                 continue
             cell = {"before": c + "15", "inside": "1" + c + "5", "after": "15" + c}[where]
             row = f"{cell},2.5" if column == "time_index" else f"3,{cell}"
+            path.unlink(missing_ok=True)  # a new file is cheaper to write than a rewritten one
             path.write_text(f"# t=1 nx=1\nk,x_1_1\n-100,1.0\n{row}\n")
             line = row.strip()
             fields = line.split(",")
