@@ -426,7 +426,7 @@ def solve_brute_force(
     more (see :func:`solve_stack`); the result is that of enumerating all t!.
 
     Args:
-        C: square cost matrix (finite, nonnegative).
+        C: square cost matrix of finite reals, of any sign.
         cap: maximum t to enumerate; it may lower ``DEFAULT_BRUTE_CAP`` but
             not raise it.
 
@@ -448,7 +448,7 @@ def solve_optimal(C: CostMatrix | np.ndarray) -> AssignmentSolution:
     permutation is unspecified among ties.
 
     Raises:
-        InvalidCost: if the matrix is not square or has non-finite or
-            negative entries.
+        InvalidCost: if the matrix is not square or has a NaN or infinite
+            entry; entries of any sign are solved.
     """
     return _solve_one(C, SolverBackend.OPTIMAL)

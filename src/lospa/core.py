@@ -270,8 +270,6 @@ class CostMatrix:
             raise InvalidCost(f"cost matrix must be square and non-empty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidCost("cost matrix contains NaN or infinity")
-        if np.any(arr < 0.0):
-            raise InvalidCost("cost matrix contains negative entries")
         object.__setattr__(self, "entries", arr)
 
     @property

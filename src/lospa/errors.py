@@ -18,7 +18,7 @@ class CapExceeded(LospaError):
 
 
 class InvalidCost(LospaError):
-    """A cost matrix entry is non-finite, negative, or the matrix is not square."""
+    """A cost matrix entry is non-finite, or the matrix is not square."""
 
 
 class DuplicateLabel(LospaError):

@@ -15,6 +15,7 @@ per-target dimension n_x constant across every timestep:
   digit separators, no non-ASCII digits and no ASCII separator characters
   (``\x1c``-``\x1f``).
 * JSON — ``{"t": int, "nx": int, "steps": [{"k": int, "targets": [[...]]}]}``.
+  Other keys, of the document or of a step, are ignored.
 
 Parsing is strict: malformed records name their line or record number, NaN
 or infinite cells are rejected, and any drift in t or n_x is an error
@@ -25,13 +26,19 @@ must be JSON numbers (not booleans, strings or null), and a repeated object
 key is an error.  A cell or value echoed in an error message is cut to 40
 characters.
 
-Both formats are parsed in bulk.  CSV time indices go through ``int()``,
-never through a float, and every cell through one ``np.loadtxt`` call,
-which reads a number exactly as ``float()`` does once the ASCII separators
-are ruled out.  JSON steps are stacked by one
-``np.array`` call and their entries type-checked in one pass.  Only when the
-bulk parse fails does a per-row (per-step) loop run, to name the first bad
-record with its message; it accepts nothing that the bulk parse refused.
+Both formats are parsed in bulk.  A CSV file is read by one ``np.loadtxt``
+call over its data lines: the time index by numpy's int64 parser, never
+through a float, and every state by its float parser.  Once ``_``,
+non-ASCII characters and the ASCII separators are ruled out, these accept
+exactly the cells that ``int()`` (within int64) and ``float()`` accept,
+and read them to the same bits.  A file with a comment after its header, a
+whitespace-only line or a non-ASCII character is read line by line
+instead, with time indices through ``int()``; so is a file that the bulk
+parse or the trajectory checks refuse, and the first bad line is named.
+The two paths accept the same files, with the same arrays.  JSON steps are
+stacked by one ``np.array`` call and their entries type-checked in one
+pass; only when that fails does a per-step loop run, to name the first bad
+step.
 """
 
 from __future__ import annotations
@@ -182,13 +189,29 @@ def _read_utf8(path: Path) -> str:
 # np.loadtxt skips these ASCII separators around a number, as it does spaces;
 # float() and int() refuse them.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+# numpy before 2.4 reads a cell that int() refuses, such as "1.5", into an
+# int64 column through a float, with only a DeprecationWarning.  There, a
+# data line whose time index holds more than signs, digits and spaces is
+# read line by line.
+_INT_VIA_FLOAT = np.lib.NumpyVersion(np.__version__) < "2.4.0"
+_NOT_INT_RE = re.compile(r"\n[^,\n]*[^-+0-9 \t\x0b\x0c,\n]")
 
 
-def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
+def _scan_lines(
+    path: Path, lines: list[str], limit: int | None = None
+) -> tuple[tuple[int, int] | None, list[int], list[str]]:
+    """The sidecar, and the line numbers and stripped text of the header and data rows.
+
+    Blank lines are skipped and comments checked against the sidecar rules,
+    in file order; the scan stops once ``limit`` rows, the header included,
+    are read.
+    """
     sidecar: tuple[int, int] | None = None
     linenos: list[int] = []  # 1-based line numbers of the header and the data rows
     rows: list[str] = []  # their text, stripped
-    for lineno, line in enumerate(_read_utf8(path).split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
+        if len(rows) == limit:
+            break
         text = line.strip()
         if not text:
             continue
@@ -215,11 +238,18 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
             )
         linenos.append(lineno)
         rows.append(text)
-
     if not rows:
         raise ParseError(f"{path}: no header row found")
-    header = rows[0].split(",")
-    header_where = f"{path}: line {linenos[0]}"
+    return sidecar, linenos, rows
+
+
+def _csv_shape(
+    path: Path, header_row: str, lineno: int, sidecar: tuple[int, int] | None,
+    t: int | None, nx: int | None,
+) -> tuple[int, int]:
+    """(t, n_x) from the arguments, the sidecar and the header, checked against the header."""
+    header = header_row.split(",")
+    header_where = f"{path}: line {lineno}"
     if header[0].strip() != "k":
         raise ParseError(f"{header_where}: first header column must be 'k'")
 
@@ -246,13 +276,57 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
             f"{header_where}: header has {len(header)} columns, "
             f"expected 1 + t*nx = {1 + t * nx} for t={t} nx={nx}"
         )
+    return t, nx
 
+
+def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
+    text = _read_utf8(path)
+    lines = text.split("\n")
+    sidecar, linenos, rows = _scan_lines(path, lines, limit=1)
+    # Past the header, plain ASCII numbers with no comment go to one
+    # np.loadtxt call; whatever else the text holds, to the per-line parse.
+    # (The whole text's isascii() is a flag, not a scan.)
+    end = sum(map(len, lines[: linenos[0]])) + linenos[0] - 1  # the header's newline
+    bulk = (
+        text.isascii()
+        and all(text.find(c, end) < 0 for c in "#_" + _SEPARATORS)
+        and not (_INT_VIA_FLOAT and _NOT_INT_RE.search(text, end))
+    )
+    del text  # the lines hold the one copy the parse needs
+    if bulk:
+        shape = _csv_shape(path, rows[0], linenos[0], sidecar, t, nx)
+        traj = _parse_rows(lines[linenos[0] :], *shape)
+        if traj is not None:
+            return traj
+    return _parse_lines(path, lines, t, nx)
+
+
+def _parse_rows(body: list[str], t: int, nx: int) -> Trajectory | None:
+    """The trajectory of the data lines ``body`` by one np.loadtxt call, or
+    None if they do not parse or do not form a trajectory.
+
+    The time index is read by numpy's int64 parser, never through a float;
+    a row of the wrong width fails in the same call.
+    """
+    if not any(map(str.strip, body)):  # np.loadtxt warns on a text of no rows
+        return None
+    dtype = np.dtype([("k", np.int64), ("x", np.float64, (t * nx,))])
+    try:
+        rec = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        return Trajectory(rec["k"], rec["x"].reshape(-1, t, nx))
+    except (ValueError, InconsistentShape, NonFiniteValue):
+        return None
+
+
+def _parse_lines(path: Path, lines: list[str], t: int | None, nx: int | None) -> Trajectory:
+    """The trajectory of ``lines`` read line by line; an error names its line."""
+    sidecar, linenos, rows = _scan_lines(path, lines)
+    t, nx = _csv_shape(path, rows[0], linenos[0], sidecar, t, nx)
     data = rows[1:]
     if not data:
         raise ParseError(f"{path}: no data rows")
     try:
-        joined = "\n".join(data)
-        if any(sep in joined for sep in _SEPARATORS):
+        if any(sep in row for row in data for sep in _SEPARATORS):
             raise ValueError("an ASCII separator in a data row")
         # The time index never passes through a float.
         ks = [int(row.partition(",")[0]) for row in data]
@@ -273,7 +347,7 @@ def _raise_row_error(
     """Raise the error of the first data row of the wrong width, or with a cell
     that int() or float() refuses.
 
-    Only called once the bulk parse in ``_load_csv`` has failed: it names the
+    Only called once the parse in ``_parse_lines`` has failed: it names the
     line, and accepts nothing.
     """
     for lineno, row in zip(linenos, rows):

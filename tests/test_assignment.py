@@ -87,6 +87,20 @@ def test_integer_stack_solves_as_its_float_copy(backend):
     assert totals.dtype == float and totals.tolist() == ref_totals.tolist() == [2.0]
 
 
+def test_every_entry_point_solves_negative_costs():
+    # One cost contract: any finite real, which solve_stack's pruning proof
+    # covers.  The identity is the cheaper of the two pairings.
+    C = np.array([[-1.0, 0.0], [0.0, -1.0]])
+    for backend in SolverBackend:
+        perms, totals = solve_stack(C[None], backend)
+        assert perms.tolist() == [[0, 1]] and totals.tolist() == [-2.0]
+    for solver in (solve_optimal, solve_brute_force):
+        solution = solver(C)
+        assert solution.perm.tolist() == [0, 1] and solution.total_cost == -2.0
+    assert path_cost(C, (0, 1)) == -2.0 and path_cost(C, (1, 0)) == 0.0
+    assert CostMatrix(C).entries.tolist() == C.tolist()
+
+
 # Its cheapest total is -0.0, which a sum started at +0.0 would lose.
 NEGATIVE_ZERO_DIAGONAL = np.array([[-0.0, 1.0], [1.0, -0.0]])
 
@@ -258,8 +272,8 @@ class TestOptimal:
             solve_optimal(np.array([[1.0, float("nan")], [0.0, 1.0]]))
         with pytest.raises(InvalidCost):
             solve_optimal(np.zeros((2, 3)))
-        with pytest.raises(InvalidCost):
-            solve_optimal(np.array([[-1.0]]))
+        # A negative entry is a cost like any other, as in solve_stack.
+        assert solve_optimal(np.array([[-1.0]])).total_cost == -1.0
 
     def test_total_cost_is_path_cost_exactly(self):
         rng = np.random.default_rng(14)

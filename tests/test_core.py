@@ -238,8 +238,8 @@ class TestCostMatrix:
             CostMatrix(np.zeros((2, 3)))
         with pytest.raises(InvalidCost):
             CostMatrix(np.array([[1.0, float("nan")], [0.0, 1.0]]))
-        with pytest.raises(InvalidCost):
-            CostMatrix(np.array([[-1.0]]))
+        # A negative entry is a cost like any other, as in solve_stack.
+        assert CostMatrix(np.array([[-1.0]])).entries.tolist() == [[-1.0]]
 
     def test_entries_read_only(self):
         C = CostMatrix(np.ones((2, 2)))

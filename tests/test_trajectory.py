@@ -1,19 +1,25 @@
 """Trajectory file parsing: CSV and JSON layouts, strict validation."""
 
 import json
+import re
 import tracemalloc
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lospa import (
     InconsistentShape,
+    LospaError,
     MultiTargetState,
     NonFiniteValue,
     ParseError,
     Trajectory,
     load_trajectory,
 )
+from lospa import trajectory
 
 from helpers import csv_text, json_doc, mts
 
@@ -363,6 +369,18 @@ class TestJson:
         assert traj.state_dim == 1
         assert MultiTargetState(traj.states[0]) == mts([-10, 0, 10])
 
+    def test_other_keys_are_ignored(self, tmp_path):
+        plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+        doc = json_doc(STEPS, t=3, nx=1)
+        plain.write_text(json.dumps(doc))
+        doc["units"] = {"x": "m"}
+        for step in doc["steps"]:
+            step["note"] = [None, "seen", 1.5]
+        extra.write_text(json.dumps(doc))
+        want, got = load_trajectory(plain, "json"), load_trajectory(extra, "json")
+        assert got.time_indices.tobytes() == want.time_indices.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+
     @pytest.mark.parametrize(
         "text, named",
         [
@@ -595,3 +613,131 @@ def test_unknown_format(tmp_path):
     path.write_text("<traj/>")
     with pytest.raises(ValueError):
         load_trajectory(path, "xml")
+
+
+# Time indices at the int64 edges and just past float64's exact integers;
+# states at the float64 extremes, subnormals and -0.0 among them.
+_TIME_INDICES = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 2**53, 2**53 + 1, 2**63 - 2, 2**63 - 1]),
+)
+_STATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072009e-308, -0.0, 1e300, -1e300]),
+)
+
+
+@st.composite
+def _csv_cells(draw):
+    """The header and the cells of each row of a CSV file, as ``repr`` writes them."""
+    t, nx = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    ks = sorted(draw(st.lists(_TIME_INDICES, min_size=1, max_size=30, unique=True)))
+    row = st.lists(_STATES.map(repr), min_size=t * nx, max_size=t * nx)
+    rows = [[str(k)] + draw(row) for k in ks]
+    header = ",".join(["k"] + [f"x_{i}_{j}" for i in range(1, t + 1) for j in range(1, nx + 1)])
+    return header, rows
+
+
+def _load_both_ways(directory, header, rows, pad):
+    """Load the file as written and with a comment after its header.
+
+    Returns what each load gave: a trajectory or an error message, with
+    the noted file's name and line numbers read as the plain file's.
+    """
+    lines = [",".join(pad + cell + pad for cell in row) for row in rows]
+    results = []
+    for name, preamble in [("plain", [header]), ("noted", [header, "# note"])]:
+        path = directory / f"{name}.csv"
+        path.unlink(missing_ok=True)  # a new file is cheaper to write than a rewritten one
+        path.write_text("\n".join(preamble + lines) + "\n")
+        try:
+            results.append(load_trajectory(path, "csv"))
+        except LospaError as exc:
+            shift = len(preamble) - 1
+            message = re.sub(r"line (\d+)", lambda m: f"line {int(m[1]) - shift}", str(exc))
+            results.append((type(exc), message.replace("noted.csv", "plain.csv")))
+    return results
+
+
+@settings(deadline=None)
+@given(_csv_cells(), st.sampled_from(["", " ", "\t", " \t "]))
+def test_csv_paths_agree_bit_for_bit(tmp_path_factory, cells, pad):
+    # The plain file goes to one np.loadtxt call; the comment after the
+    # header sends the noted one through the per-line parse.
+    per_line = mock.patch.object(trajectory, "_parse_lines", wraps=trajectory._parse_lines)
+    with per_line as spy:
+        bulk, noted = _load_both_ways(tmp_path_factory.getbasetemp(), *cells, pad)
+    assert spy.call_count == 1
+    assert bulk.time_indices.tobytes() == noted.time_indices.tobytes()
+    assert bulk.states.shape == noted.states.shape
+    assert bulk.states.tobytes() == noted.states.tobytes()
+
+
+# Cells that int() or float() refuse, or that make a file a shape, range,
+# order or finiteness error, with some that both read.
+_BAD_CELLS = [
+    "", "x", "1.5", "1e3", "0x10", "1.5.2", "- 1", "1,2", "nan", "-inf", "1e400", "1e-400",
+    str(2**63), str(-(2**63) - 1), "1_0", "\u0663", "\x1c1", "\x0b7\x0c", "+0", "-0", "007",
+]
+
+
+@settings(deadline=None)
+@given(_csv_cells(), st.sampled_from(["", " "]), st.data())
+def test_csv_paths_raise_the_same_error(tmp_path_factory, cells, pad, data):
+    header, rows = cells
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[i]) - 1))
+    rows[i][j] = data.draw(st.sampled_from(_BAD_CELLS))
+    plain, noted = _load_both_ways(tmp_path_factory.getbasetemp(), header, rows, pad)
+    if isinstance(plain, Trajectory) and isinstance(noted, Trajectory):
+        assert plain.time_indices.tobytes() == noted.time_indices.tobytes()
+        assert plain.states.tobytes() == noted.states.tobytes()
+    else:
+        assert plain == noted
+
+
+@pytest.mark.parametrize(
+    "k, bulk",
+    [("1.0", False), ("1e3", False), (" inf", False), ("NaN", False), (" +7\t", True),
+     ("\x0b-0", True)],
+)
+def test_time_index_a_float_parser_reads_is_read_line_by_line_on_old_numpy(
+    tmp_path, monkeypatch, k, bulk
+):
+    # numpy before 2.4 reads "1.0" into an int64 column through a float.
+    # There, a time index with more than signs, digits and spaces sends the
+    # file to the per-line parse, whose int() refuses it.
+    monkeypatch.setattr(trajectory, "_INT_VIA_FLOAT", True)
+    spy = mock.Mock(wraps=trajectory._parse_rows)
+    monkeypatch.setattr(trajectory, "_parse_rows", spy)
+    path = tmp_path / "traj.csv"
+    path.write_text(f"k,x_1_1\n-5,1.0\n{k},2.0\n")
+    if bulk:
+        assert load_trajectory(path, "csv").time_indices.tolist() == [-5, int(k)]
+    else:
+        with pytest.raises(ParseError, match="line 3: time index .* is not an integer"):
+            load_trajectory(path, "csv")
+    assert spy.called == bulk
+
+
+def test_csv_load_peaks_under_3_25_times_the_file(tmp_path):
+    # long_track_small_t's shape: T = 20,000, t = 5, n_x = 2, repr floats.
+    # The text, its lines and the parsed arrays may be alive at once, but no
+    # second copy of the text.
+    states = np.random.default_rng(5).uniform(0.0, 1000.0, size=(20_000, 10))
+    path = tmp_path / "truth.csv"
+    names = ",".join(f"x_{i}_{j}" for i in range(1, 6) for j in (1, 2))
+    path.write_text(
+        f"# t=5 nx=2\nk,{names}\n"
+        + "".join(f"{k}," + ",".join(map(repr, row)) + "\n"
+                  for k, row in enumerate(states.tolist()))
+    )
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        traj = load_trajectory(path, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states.reshape(-1, 10).tobytes() == states.tobytes()
+    assert peak <= 3.25 * size, f"peak {peak / size:.2f} times the file's {size} bytes"
