@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import DEFAULT_BRUTE_CAP
-from .core import CostMatrix, _as_int, _as_readonly, _as_real
+from .core import CostMatrix, _as_int, _as_readonly, _checked_costs
 from .errors import CapExceeded, DimensionMismatch, InvalidCost
 
 __all__ = [
@@ -381,10 +381,10 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
 
     The lexicographically smallest cheapest pairing survives both rules.
 
-    The stack is read as float64 once, here, which copies any other real
-    dtype but never a float64 stack, and checked for NaN and infinity.  It is
-    then :func:`_settle`'s one-half case, which the other solvers,
-    ``lospa()`` and ``evaluate`` reach with stacks checked already.
+    The stack is read and checked by ``core._checked_costs``, as a
+    :class:`CostMatrix` is, and is then :func:`_settle`'s one-half case,
+    which the other solvers, ``lospa()`` and ``evaluate`` reach with stacks
+    checked already.
 
     Returns:
         ``(perms, totals)``: ``perms[i]`` is an optimal pairing of ``C[i]``
@@ -399,11 +399,7 @@ def solve_stack(C: np.ndarray, backend: SolverBackend) -> tuple[np.ndarray, np.n
         CapExceeded: brute-force backend with more than
             ``DEFAULT_BRUTE_CAP`` targets.
     """
-    C = _as_real(C, InvalidCost, copy=False)
-    if C.ndim != 3 or C.shape[1] != C.shape[2] or 0 in C.shape:
-        raise InvalidCost(f"expected an (n, t, t) stack of cost matrices, got shape {C.shape}")
-    if not np.isfinite(C).all():
-        raise InvalidCost("cost stack contains NaN or infinity")
+    C = _checked_costs(C)
     return _settle(C, len(C), 0.0, backend)
 
 

@@ -66,8 +66,28 @@ def _as_int64(values, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _as_readonly(arr: np.ndarray, dtype=float, error=ValueError) -> np.ndarray:
-    out = _as_real(arr, error) if dtype is float else np.array(arr, dtype=dtype)
+def _time_order(values, what: str) -> tuple[np.ndarray, int | None]:
+    """``values`` read by :func:`_as_int64`, and the index i of the first pair
+    ``(ks[i], ks[i + 1])`` not strictly increasing, or None: the one time-order check."""
+    ks = _as_int64(values, what)
+    back = np.flatnonzero(ks[1:] <= ks[:-1])  # np.diff would wrap past int64
+    return ks, int(back[0]) if back.size else None
+
+
+def _checked_costs(C) -> np.ndarray:
+    """``C`` as a float64 ``(n, t, t)`` stack of finite costs, n, t >= 1, copied
+    only from another real dtype: the one cost check, for ``solve_stack`` and,
+    as a stack of one, :class:`CostMatrix`.  Anything else raises InvalidCost."""
+    C = _as_real(C, InvalidCost, copy=False)
+    if C.ndim != 3 or C.shape[1] != C.shape[2] or 0 in C.shape:
+        raise InvalidCost(f"expected an (n, t, t) stack of cost matrices, got shape {C.shape}")
+    if not np.isfinite(C).all():
+        raise InvalidCost("cost stack contains NaN or infinity")
+    return C
+
+
+def _as_readonly(arr: np.ndarray, dtype=float) -> np.ndarray:
+    out = _as_real(arr) if dtype is float else np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -258,18 +278,15 @@ class CostMatrix:
 
     ``entries[j, k]`` is the cost of pairing target j of the first state with
     target k of the second: base distance to the p-th power, plus alpha**p
-    when j != k (wrong label).  This constructor is the one place where cost
-    entries are validated.
+    when j != k (wrong label).  The entries are a read-only copy, checked by
+    :func:`_checked_costs`.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly(self.entries, error=InvalidCost)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise InvalidCost(f"cost matrix must be square and non-empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidCost("cost matrix contains NaN or infinity")
+        arr = _checked_costs([self.entries])[0]  # the list makes a new array
+        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property

@@ -112,8 +112,10 @@ class EvalReport:
             raise ValueError(f"report columns need shapes (T,) x 3 and (T, t), T, t >= 1: {shapes}")
         for name in names:
             value = getattr(self, name)
-            if name in ("k", "perms"):
-                column = _as_int64(value, f"report column {name}")
+            if name == "k":
+                column, back = core._time_order(value, "report column k")
+            elif name == "perms":
+                column = _as_int64(value, "report column perms")
             else:
                 column = _as_real(value, lambda why: ValueError(f"report column {name}: {why}"))
                 if not np.isfinite(column).all():
@@ -123,11 +125,10 @@ class EvalReport:
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         k, perms, t = self.k, self.perms, self.perms.shape[1]
-        down = k[1:] <= k[:-1]
-        if down.any():
-            i = int(down.argmax())
+        if back is not None:
             raise ValueError(
-                f"report column k must be strictly increasing, got {k[i]} followed by {k[i + 1]}"
+                f"report column k must be strictly increasing, "
+                f"got {k[back]} followed by {k[back + 1]}"
             )
         wrong = (np.sort(perms, axis=1) != np.arange(t)).any(axis=1)
         if wrong.any():

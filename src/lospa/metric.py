@@ -14,6 +14,7 @@ where the targets are, not how they are ordered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,11 +87,12 @@ def lospa(
 def _distances(totals: list[float], t: int, p: float) -> list[float]:
     """The distances from minimum total costs over t targets.
 
+    At p = 2 the root is the correctly rounded ``math.sqrt``; at other p,
     Python's float ``**`` per value: numpy's vectorised power can differ in
     the last bit, and reports print every bit.
     """
-    root = 1.0 / p
-    return [(total / t) ** root for total in totals]
+    root = math.sqrt if p == 2.0 else lambda x: x ** (1.0 / p)
+    return [root(total / t) for total in totals]
 
 
 def ospa_no_cutoff(

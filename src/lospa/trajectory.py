@@ -26,19 +26,16 @@ must be JSON numbers (not booleans, strings or null), and a repeated object
 key is an error.  A cell or value echoed in an error message is cut to 40
 characters.
 
-Both formats are parsed in bulk.  A CSV file is read by one ``np.loadtxt``
-call over its data lines: the time index by numpy's int64 parser, never
-through a float, and every state by its float parser.  Once ``_``,
-non-ASCII characters and the ASCII separators are ruled out, these accept
-exactly the cells that ``int()`` (within int64) and ``float()`` accept,
-and read them to the same bits.  A file with a comment after its header, a
-whitespace-only line or a non-ASCII character is read line by line
-instead, with time indices through ``int()``; so is a file that the bulk
-parse or the trajectory checks refuse, and the first bad line is named.
-The two paths accept the same files, with the same arrays.  JSON steps are
-stacked by one ``np.array`` call and their entries type-checked in one
-pass; only when that fails does a per-step loop run, to name the first bad
-step.
+Each rule is checked once.  One ``np.loadtxt`` call parses every CSV data
+row, the time index by numpy's int64 parser, never through a float, once
+the rows are plain: ASCII, with no ``_``, comment or ASCII separator, where
+it reads exactly what ``int()`` (within int64) and ``float()`` read, to the
+same bits.  A comment after the header, a whitespace-only line or a
+non-ASCII character sends a file through a line scan first.  Rows that are
+not plain or are refused are read by ``int()`` and ``float()`` only to
+name the first bad line.  JSON steps are stacked by one ``np.array`` call,
+and only when that fails does a per-step loop name the first bad step.
+Time order is checked by :class:`Trajectory`, whose errors the loaders name.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from .core import _as_int, _as_int64, _as_real, _echo
+from .core import _as_int, _as_real, _echo, _time_order
 from .errors import InconsistentShape, NonFiniteValue, ParseError
 
 __all__ = ["Trajectory", "load_trajectory"]
@@ -81,7 +78,7 @@ class Trajectory:
         ks = np.asarray(self.time_indices)
         if ks.ndim != 1 or ks.size < 1:
             raise ValueError("a trajectory needs a 1-D vector of at least one time index")
-        ks = _as_int64(ks, "time indices")
+        ks, back = _time_order(ks, "time indices")
         try:
             states = np.asarray(self.states)
         except ValueError:
@@ -94,12 +91,9 @@ class Trajectory:
             )
         if not np.all(np.isfinite(states)):
             raise NonFiniteValue("trajectory states contain NaN or infinity")
-        back = np.flatnonzero(ks[1:] <= ks[:-1])  # np.diff would wrap past int64
-        if back.size:
-            i = back[0]
-            raise ValueError(
-                f"time indices must be strictly increasing, got {ks[i]} followed by {ks[i + 1]}"
-            )
+        if back is not None:
+            a, b = ks[back : back + 2]
+            raise ValueError(f"time indices must be strictly increasing, got {a} followed by {b}")
         for arr in (ks, states):
             arr.setflags(write=False)
         object.__setattr__(self, "time_indices", ks)
@@ -130,8 +124,8 @@ def _trajectory(
         out = next((i for i, k in enumerate(ks) if not -(2**63) <= k < 2**63), None)
         if out is not None:
             raise ParseError(f"{path}: {record(out)}: time index outside the int64 range") from None
-        back = next((i for i in range(1, len(ks)) if ks[i] <= ks[i - 1]), None)
-        why = exc if back is None else f"{record(back)}: {exc}"
+        back = _time_order(ks, "time indices")[1]
+        why = exc if back is None else f"{record(back + 1)}: {exc}"
         raise ParseError(f"{path}: {why}") from None
 
 
@@ -192,9 +186,20 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # numpy before 2.4 reads a cell that int() refuses, such as "1.5", into an
 # int64 column through a float, with only a DeprecationWarning.  There, a
 # data line whose time index holds more than signs, digits and spaces is
-# read line by line.
+# not plain.
 _INT_VIA_FLOAT = np.lib.NumpyVersion(np.__version__) < "2.4.0"
 _NOT_INT_RE = re.compile(r"\n[^,\n]*[^-+0-9 \t\x0b\x0c,\n]")
+
+
+def _plain(text: str, start: int) -> bool:
+    """Whether ``text`` is ASCII and the lines after ``text[start]``, a newline,
+    hold no comment, ``_``, ASCII separator or, on numpy before 2.4, time index
+    that int() refuses: lines that :func:`_parse_rows` reads as int() and float() do."""
+    return (
+        text.isascii()
+        and all(text.find(c, start) < 0 for c in "#_" + _SEPARATORS)
+        and not (_INT_VIA_FLOAT and _NOT_INT_RE.search(text, start))
+    )
 
 
 def _scan_lines(
@@ -283,15 +288,9 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
     text = _read_utf8(path)
     lines = text.split("\n")
     sidecar, linenos, rows = _scan_lines(path, lines, limit=1)
-    # Past the header, plain ASCII numbers with no comment go to one
-    # np.loadtxt call; whatever else the text holds, to the per-line parse.
-    # (The whole text's isascii() is a flag, not a scan.)
+    # Plain rows skip the line scan.  (The text's isascii() is a flag, not a scan.)
     end = sum(map(len, lines[: linenos[0]])) + linenos[0] - 1  # the header's newline
-    bulk = (
-        text.isascii()
-        and all(text.find(c, end) < 0 for c in "#_" + _SEPARATORS)
-        and not (_INT_VIA_FLOAT and _NOT_INT_RE.search(text, end))
-    )
+    bulk = _plain(text, end)
     del text  # the lines hold the one copy the parse needs
     if bulk:
         shape = _csv_shape(path, rows[0], linenos[0], sidecar, t, nx)
@@ -302,12 +301,9 @@ def _load_csv(path: Path, t: int | None, nx: int | None) -> Trajectory:
 
 
 def _parse_rows(body: list[str], t: int, nx: int) -> Trajectory | None:
-    """The trajectory of the data lines ``body`` by one np.loadtxt call, or
-    None if they do not parse or do not form a trajectory.
-
-    The time index is read by numpy's int64 parser, never through a float;
-    a row of the wrong width fails in the same call.
-    """
+    """The trajectory of the plain data lines ``body`` by the one np.loadtxt
+    call, the time index by numpy's int64 parser, or None if they do not
+    parse (a row of the wrong width included) or form a trajectory."""
     if not any(map(str.strip, body)):  # np.loadtxt warns on a text of no rows
         return None
     dtype = np.dtype([("k", np.int64), ("x", np.float64, (t * nx,))])
@@ -319,38 +315,24 @@ def _parse_rows(body: list[str], t: int, nx: int) -> Trajectory | None:
 
 
 def _parse_lines(path: Path, lines: list[str], t: int | None, nx: int | None) -> Trajectory:
-    """The trajectory of ``lines`` read line by line; an error names its line."""
+    """The trajectory of the data rows a line scan of ``lines`` keeps; errors name a line."""
     sidecar, linenos, rows = _scan_lines(path, lines)
     t, nx = _csv_shape(path, rows[0], linenos[0], sidecar, t, nx)
     data = rows[1:]
     if not data:
         raise ParseError(f"{path}: no data rows")
-    try:
-        if any(sep in row for row in data for sep in _SEPARATORS):
-            raise ValueError("an ASCII separator in a data row")
-        # The time index never passes through a float.
-        ks = [int(row.partition(",")[0]) for row in data]
-        # Every column, so that a row of any other width fails here.
-        values = np.loadtxt(data, delimiter=",", comments=None, dtype=float, ndmin=2)
-        if values.shape[1] != 1 + t * nx:
-            raise ValueError("rows of the wrong width")
-    except ValueError:
+    traj = _parse_rows(data, t, nx) if _plain("\n".join(["", *data]), 0) else None
+    if traj is None:
         _raise_row_error(path, data, linenos[1:], t, nx)
-    return _trajectory(
-        path, ks, values[:, 1:].reshape(-1, t, nx), lambda i: f"line {linenos[i + 1]}"
-    )
+    return traj
 
 
-def _raise_row_error(
-    path: Path, rows: list[str], linenos: list[int], t: int, nx: int
-) -> NoReturn:
+def _raise_row_error(path: Path, rows: list[str], linenos: list[int], t: int, nx: int) -> NoReturn:
     """Raise the error of the first data row of the wrong width, or with a cell
-    that int() or float() refuses.
-
-    Only called once the parse in ``_parse_lines`` has failed: it names the
-    line, and accepts nothing.
-    """
-    for lineno, row in zip(linenos, rows):
+    that int() or float() refuses, else :func:`_trajectory`'s of the rows they
+    read.  Called on rows that are not plain or that ``_parse_rows`` refused."""
+    ks, values = [], np.empty((len(rows), t * nx))
+    for i, (lineno, row) in enumerate(zip(linenos, rows)):
         where = f"{path}: line {lineno}"
         fields = row.split(",")
         if len(fields) != 1 + t * nx:
@@ -359,16 +341,17 @@ def _raise_row_error(
                 f"expected {1 + t * nx} (t={t} targets of dimension {nx})"
             )
         try:
-            int(fields[0])
+            ks.append(int(fields[0]))
         except ValueError:
             cell = fields[0].strip()
             if cell.isdigit() or cell[:1] in ("+", "-") and cell[1:].isdigit():
                 _digits(cell.lstrip("+-"), where)  # raises past the digits int() reads
             raise ParseError(f"{where}: time index {_echo(fields[0])} is not an integer") from None
         try:
-            [float(v) for v in fields[1:]]
+            values[i] = [float(v) for v in fields[1:]]
         except ValueError:
             raise ParseError(f"{where}: non-numeric state value") from None
+    _trajectory(path, ks, values.reshape(-1, t, nx), lambda i: f"line {linenos[i]}")
     raise ParseError(f"{path}: data rows are not plain numbers")
 
 

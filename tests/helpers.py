@@ -1,15 +1,18 @@
-"""Shared test utilities, most importantly an independent reference oracle.
+"""Shared test utilities, most importantly independent reference oracles.
 
 ``enum_lospa`` and ``enum_min_assignment`` deliberately avoid numpy, scipy
 and the library under test: plain Python floats, ``math`` and literal
 enumeration of every permutation.  Golden values in the tests were frozen
-from these functions.
+from these functions.  ``subset_dp_totals`` reaches past the enumeration
+cap without LSAP.
 """
 
 import itertools
 import math
 import os
 from pathlib import Path
+
+import numpy as np
 
 from lospa import MultiTargetState
 
@@ -34,6 +37,29 @@ def enum_min_assignment(C):
         if best_total is None or total < best_total:
             best_total, best_perm = total, phi
     return best_total, best_perm
+
+
+def subset_dp_totals(C):
+    """The least left-to-right total over every pairing of each matrix of a stack.
+
+    Over column sets S in order of size, f(S) = min over c in S of
+    fl(f(S - {c}) + C[|S| - 1, c]): t * 2**(t - 1) additions per matrix,
+    batched over the (n, t, t) stack ``C``, where enumeration takes t!.
+    Float addition is monotone, so f(all columns) is exactly the smallest
+    of the t! totals summed row by row: the brute-force backend's total,
+    bit for bit.  f(no column) is -0.0, to which adding x gives x.
+    """
+    n, t, _ = C.shape
+    masks = np.arange(1 << t)
+    sizes = np.array([m.bit_count() for m in masks.tolist()])
+    f = np.full((n, 1 << t), np.inf)
+    f[:, 0] = -0.0
+    for size in range(1, t + 1):
+        layer = masks[sizes == size]
+        for c in range(t):
+            S = layer[(layer >> c) & 1 == 1]
+            f[:, S] = np.minimum(f[:, S], f[:, S ^ (1 << c)] + C[:, size - 1, c, None])
+    return f[:, -1]
 
 
 def enum_lospa(A, B, p, alpha, q=2.0):

@@ -32,7 +32,7 @@ from lospa import (
 from lospa.constants import REL_TOL_BACKENDS
 from lospa.core import cost_stack
 
-from helpers import enum_min_assignment, mts, set_cpus
+from helpers import enum_min_assignment, mts, set_cpus, subset_dp_totals
 
 # The package re-exports the function under the module's name.
 evaluate_module = importlib.import_module("lospa.evaluate")
@@ -164,12 +164,12 @@ class TestBruteForce:
 
 
 @st.composite
-def tie_heavy_stacks(draw):
-    """(n, t, t) stacks, t = 1..8, built to tie: entries in {0, 1, 2},
+def tie_heavy_stacks(draw, min_t=1, max_t=8):
+    """(n, t, t) stacks, t = min_t..max_t, built to tie: entries in {0, 1, 2},
     equal matrices, repeated rows, leading or trailing rows raised by
     1e16, next to which 0 and 1 round to the same total, and entries
     lowered by 1, 3 or 1e16, so of mixed sign or all negative."""
-    t = draw(st.integers(1, 8))
+    t = draw(st.integers(min_t, max_t))
     n = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["grid", "equal", "duplicate_rows", "absorbed", "signed"]))
     row = st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=t, max_size=t)
@@ -246,6 +246,52 @@ class TestPrunedEnumeration:
             assert (total, tuple(perm)) == enum_min_assignment(C.tolist())
 
 
+def random_stacks(min_t, max_t):
+    """(n, t, t) stacks of uniform costs in [-1, 1) or [0, 1e6), t = min_t..max_t."""
+    return st.builds(
+        lambda seed, t, n, span: np.random.default_rng(seed).uniform(*span, (n, t, t)),
+        st.integers(0, 2**32 - 1), st.integers(min_t, max_t), st.integers(1, 3),
+        st.sampled_from([(-1.0, 1.0), (0.0, 1e6)]),
+    )
+
+
+def assert_at_least_and_near(totals, dp):
+    """Each total is at least its exact minimum ``dp`` and within REL_TOL_BACKENDS of it."""
+    assert (totals >= dp).all()
+    assert (np.abs(totals - dp) <= REL_TOL_BACKENDS * np.maximum(1.0, np.abs(dp))).all()
+
+
+class TestSubsetDP:
+    """``helpers.subset_dp_totals``, exact in floats, referees totals past the brute cap."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(tie_heavy_stacks(), random_stacks(1, 8)))
+    def test_equals_the_brute_force_totals_bit_for_bit(self, stack):
+        totals = solve_stack(stack, SolverBackend.BRUTE_FORCE)[1]
+        assert subset_dp_totals(stack).tobytes() == totals.tobytes()
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.one_of(tie_heavy_stacks(9, 12), random_stacks(9, 12)))
+    def test_bounds_the_optimal_totals(self, stack):
+        totals = solve_stack(stack, SolverBackend.OPTIMAL)[1]
+        assert_at_least_and_near(totals, subset_dp_totals(stack))
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.integers(9, 12), st.booleans(), st.sampled_from([0.0, 1.0]), st.integers(0, 2**32 - 1)
+    )
+    def test_bounds_the_evaluate_totals(self, t, grid, alpha, seed):
+        # Integer grid states tie often; uniform ones rarely.
+        rng = np.random.default_rng(seed)
+        shape = (2, 4, t, 2)
+        est, truth = rng.integers(0, 3, shape).astype(float) if grid else rng.uniform(0, 9, shape)
+        params = LospaParams(alpha=alpha)
+        _, labelled, loc = evaluate_module._solve_steps(est, truth, params, SolverBackend.OPTIMAL)
+        C = cost_stack(est, truth, params, np.empty((8 if alpha else 4, t, t)))
+        assert_at_least_and_near(loc, subset_dp_totals(C[:4]))
+        assert_at_least_and_near(labelled, subset_dp_totals(C[-4:]))
+
+
 class TestOptimal:
     def test_two_target_swap(self):
         sol = solve_optimal(np.array([[100.0, 1.0], [1.0, 100.0]]))
@@ -292,6 +338,33 @@ def test_stack_with_a_non_finite_entry_is_refused(backend, bad):
     for C in (mixed, lone):
         with pytest.raises(InvalidCost, match="cost stack contains NaN or infinity"):
             solve_stack(C, backend)
+
+
+@pytest.mark.parametrize(
+    "C, message",
+    [
+        (np.zeros((2, 3)), "expected an (n, t, t) stack of cost matrices, got shape (1, 2, 3)"),
+        (np.zeros((0, 0)), "expected an (n, t, t) stack of cost matrices, got shape (1, 0, 0)"),
+        ([[1.0, np.nan], [0.0, 1.0]], "cost stack contains NaN or infinity"),
+        ([[np.inf]], "cost stack contains NaN or infinity"),
+        ([[0.0, 1.0], [-np.inf, 0.0]], "cost stack contains NaN or infinity"),
+        (np.eye(2, dtype=bool), "expected real numbers, got bool values"),
+        ([["1", "2"], ["3", "4"]], "expected real numbers, got <U1 values"),
+        ([[10**400, 1], [1, 0]], "a value overflows the float64 range"),
+    ],
+    ids=["non_square", "empty", "nan", "inf", "-inf", "bool", "str", "10**400"],
+)
+def test_every_entry_point_refuses_a_bad_cost_matrix_alike(C, message):
+    # One check, core._checked_costs, reads every cost matrix as a stack of one.
+    for refuse in (
+        CostMatrix,
+        solve_optimal,
+        solve_brute_force,
+        lambda C: path_cost(C, (0,)),
+        lambda C: solve_stack([C], SolverBackend.OPTIMAL),
+    ):
+        with pytest.raises(InvalidCost, match=f"^{re.escape(message)}$"):
+            refuse(C)
 
 
 @pytest.mark.parametrize("backend", list(SolverBackend), ids=lambda b: b.value)

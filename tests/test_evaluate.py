@@ -183,6 +183,27 @@ class TestEvaluate:
                 EvalReport(**fields)
             assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "ks, why",
+        [
+            ([3, 3], "must be strictly increasing, got 3 followed by 3"),
+            ([2, 1], "must be strictly increasing, got 2 followed by 1"),
+            ([0.0, 1.0], "must be 64-bit integers, got float64 values"),
+            ([False, True], "must be 64-bit integers, got bool values"),
+            ([2**63, 2**63 + 1], "must be 64-bit integers, got uint64 values"),
+            ([-(2**63) - 1, 0], "must be 64-bit integers, got object values"),
+        ],
+        ids=["repeated", "decreasing", "float", "bool", "past_int64", "below_int64"],
+    )
+    def test_trajectory_and_report_refuse_bad_time_indices_alike(self, ks, why):
+        # One check, core._time_order, reads both.
+        with pytest.raises(ValueError) as err:
+            Trajectory(ks, np.zeros((2, 1, 1)))
+        assert str(err.value) == f"time indices {why}"
+        with pytest.raises(ValueError) as err:
+            EvalReport(ks, [0.5, 0.5], [0.5, 0.5], [[0], [0]], LospaParams(), SolverBackend.OPTIMAL)
+        assert str(err.value) == f"report column k {why}"
+
     def test_backend_choice_is_echoed(self):
         report = evaluate(
             TRUTH_TRAJ,

@@ -720,6 +720,17 @@ def test_time_index_a_float_parser_reads_is_read_line_by_line_on_old_numpy(
     assert spy.called == bulk
 
 
+def test_rows_after_a_comment_reach_the_one_row_parse(tmp_path, monkeypatch):
+    # The comment after the header sends the file to the line scan, which
+    # hands the data rows it keeps to the same np.loadtxt call.
+    spy = mock.Mock(wraps=trajectory._parse_rows)
+    monkeypatch.setattr(trajectory, "_parse_rows", spy)
+    path = tmp_path / "noted.csv"
+    path.write_text("k,x_1_1\n# note\n-5,1.5\n\n7, 2.5\n")
+    assert load_trajectory(path, "csv").states.ravel().tolist() == [1.5, 2.5]
+    assert [call.args[0] for call in spy.call_args_list] == [["-5,1.5", "7, 2.5"]]
+
+
 def test_csv_load_peaks_under_3_25_times_the_file(tmp_path):
     # long_track_small_t's shape: T = 20,000, t = 5, n_x = 2, repr floats.
     # The text, its lines and the parsed arrays may be alive at once, but no
